@@ -1,29 +1,36 @@
 """Machine-speed sampling, so that times read steady on a noisy host.
 
 The host this benchmark was built on switches between a fast and a
-~1.7x slower state about once a second (other tenants' load on shared
+~1.65x slower state about once a second (other tenants' load on shared
 cores), so a pass of fixed work takes anywhere from 1.0x to 1.4x its
-quiet-machine time.  :class:`SpeedSampler` times a small fixed
-pure-Python kernel every ``INTERVAL_S`` from an interval timer, and
+fast-state time.  :class:`SpeedSampler` times a small fixed pure-Python
+kernel every ``INTERVAL_S`` from an interval timer, and
 :meth:`SpeedSampler.normalize` rescales a measured time to
-quiet-machine seconds:
+speed-normalized seconds:
 
     normalized = measured x mean(REFERENCE_S / kernel time)
 
+``REFERENCE_S`` is the kernel's time in the fast state, timed in-process
+while the workloads run, so on a host that stays in its fast state a
+normalized time equals the measured one.  In the slow state it reads
+shorter than measured; ``run.py`` prints both.
+
 The samples fall at equal wall-clock spacing, so their mean speed is
-the time-average speed over the window.  The kernel is the benchmark's
-own code, so a faster simulator still shows as a shorter normalized
-time.  On the reference host, over 40 short dataplane-saturated passes,
+the time-average speed over the window.  The kernel runs with the
+garbage collector off and touches only its own small working set, so
+the measured program's heap does not change its time: in the fast
+state it takes the same time in-process as in an idle process.  A
+faster simulator therefore still shows as a shorter normalized time.
+On the reference host, over 40 short dataplane-saturated passes,
 normalizing cut the coefficient of variation of the pass time from 18%
 to under 5%.  A kernel with a large, scattered working set tracked the
-simulator worse (8%) than this small one.  ``REFERENCE_S`` is the
-kernel's time in the reference host's fast state (2-core x86_64
-container, Python 3.11).  On other hardware, normalized times are in
-that host's seconds.
+simulator worse (8%) than this small one.  On other hardware,
+normalized times are in the reference host's fast-state seconds.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import signal
@@ -33,8 +40,13 @@ from typing import List, Optional
 #: Seconds between samples.
 INTERVAL_S = 0.05
 
-#: Kernel time on the reference machine's quiet state, in seconds.
-REFERENCE_S = 0.00065
+#: Kernel time in the reference host's fast state, in seconds: the
+#: median over workload passes of the 5th-percentile in-process sample
+#: (2-core x86_64 container, Python 3.11).
+REFERENCE_S = 0.00077
+
+#: Loop iterations of one kernel run.
+KERNEL_STEPS = 700
 
 
 class _Item:
@@ -53,13 +65,13 @@ _RECORDS = [{"id": i, "name": f"n{i}", "v": [i, i * 2.5, str(i)]}
             for i in range(40)]
 
 
-def kernel(n: int = 700) -> int:
+def kernel() -> int:
     """Fixed work: a bounded priority queue feeding a counter table
     (attribute, call, heap and dict traffic), then a JSON round trip,
     a keyed sort and string formatting (C-level library code)."""
     heap: list = []
     table: dict = {}
-    for i in range(n):
+    for i in range(KERNEL_STEPS):
         item = _ITEMS[i & 63]
         heapq.heappush(heap, (item.step(i), i, item))
         if len(heap) > 128:
@@ -105,9 +117,19 @@ class SpeedSampler:
         ACTIVE = None
 
     def _sample(self, signum=None, frame=None) -> None:
-        start = time.perf_counter()
-        kernel()
-        self.speeds.append(REFERENCE_S / (time.perf_counter() - start))
+        # The collector stays off while the kernel runs, so that a
+        # collection of the measured program's heap is not timed as
+        # machine speed.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            kernel()
+            elapsed = time.perf_counter() - start
+        finally:
+            if collecting:
+                gc.enable()
+        self.speeds.append(REFERENCE_S / elapsed)
 
     def mark(self) -> int:
         """A position in the sample sequence, for :meth:`speed`."""

@@ -11,8 +11,8 @@ JSON object ``{"correct", "attempted", "failed", "metrics"}``.  With
 ``--trace 0`` the metrics are the end-to-end ones of ``BENCHMARK.json``;
 with ``--trace 1`` the per-layer ones from a separate traced pass.
 
-Set-up time is measured in ``SETUP_PROBES`` fresh processes (the main
-run's own included) and reported as their median.  The full run record
+With ``--trace 0``, set-up time is measured in ``SETUP_PROBES`` fresh
+processes (the main run's own included) and reported as their median.  The full run record
 (outputs, check failures, machine) goes to ``perfbench/out/``.
 """
 
@@ -35,7 +35,7 @@ WORKLOAD = BENCH_DIR / "workload.py"
 OUT_DIR = BENCH_DIR / "out"
 
 #: Fresh processes that each measure set-up (the main run is one).
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
 #: Wall-clock cap on the whole run, in seconds.
 RUN_BUDGET = 170.0
@@ -88,9 +88,10 @@ def main(argv=None) -> int:
     deadline = time.monotonic() + RUN_BUDGET
     common = ["--workload", args.workload, "--seed", str(args.seed)]
     try:
+        # The traced run reports no set-up time, so it needs no probes.
         setups = [run_child(common + ["--setup-only"],
                             deadline - time.monotonic())["setup_s"]
-                  for _ in range(SETUP_PROBES - 1)]
+                  for _ in range(0 if args.trace else SETUP_PROBES - 1)]
         result = run_child(common + ["--seconds", str(args.seconds),
                                      "--trace", str(args.trace)],
                            deadline - time.monotonic())
@@ -122,6 +123,12 @@ def main(argv=None) -> int:
               f"{metric['unit']}")
     print(f"{'failed_frac':44s} {failed / max(attempted, 1):16.6f} ratio "
           f"({failed} of {attempted} outputs)")
+    if not args.trace:
+        # Times above are speed-normalized (perfbench/clock.py); this is
+        # the measured pass time they come from.
+        raw = result["raw_wall_s"]
+        print(f"{'raw_wall_s':44s} {raw:16.6f} s "
+              f"(measured; wall_s = {measured['wall_s'] / raw:.3f} x this)")
     for failure in result["failures"]:
         print(f"# FAILED: {failure}")
     print(json.dumps({

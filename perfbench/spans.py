@@ -223,6 +223,10 @@ ENTRY_POINTS: Tuple[Tuple[str, str, Optional[str], str], ...] = (
 LAYERS: Tuple[str, ...] = tuple(dict.fromkeys(
     [layer for layer, _, _, _ in ENTRY_POINTS] + ["experiments", "other"]))
 
+#: Spans kept verbatim for :meth:`SpanTracer.write`; every later call
+#: is still folded into the per-layer totals.
+KEEP_SPANS = 200_000
+
 #: Layers whose *inclusive* time (children included) is also summed.
 INCLUSIVE = ("core.deployment", "fabric.hybrid", "perfmodel.capacity",
              "controlplane.service")
@@ -232,12 +236,11 @@ class SpanTracer:
     """In-memory spans with exact per-layer self time.
 
     Every call is folded into ``self_time``/``calls``; the first
-    ``keep`` spans are also kept verbatim as (id, layer, start, end,
+    :data:`KEEP_SPANS` spans are also kept verbatim as (id, layer, start, end,
     parent id; 0 for a root) and written out by :meth:`write`.
     """
 
-    def __init__(self, keep: int = 200_000) -> None:
-        self.keep = keep
+    def __init__(self) -> None:
         self.spans: List[Tuple[int, str, float, float, int]] = []
         self.self_time: Dict[str, float] = defaultdict(float)
         self.calls: Dict[str, int] = defaultdict(int)
@@ -256,7 +259,6 @@ class SpanTracer:
         stack = self._stack
         self_time, calls, spans = self.self_time, self.calls, self.spans
         inclusive = self.inclusive if layer in INCLUSIVE else None
-        keep = self.keep
         tracer = self
 
         @functools.wraps(fn)
@@ -281,7 +283,7 @@ class SpanTracer:
                     tracer.root_time += duration
                 if inclusive is not None:
                     inclusive[layer] += duration
-                if len(spans) < keep:
+                if len(spans) < KEEP_SPANS:
                     spans.append((sid, layer, start, end, parent))
         return spanned
 

@@ -18,13 +18,16 @@ previous one ends; simulated traffic rates are fixed per workload):
   policy-injection, fabric and churn specs on the warm process pool.
 
 No result store is used anywhere, so no pass is served from cache.
-Reported times are in quiet-machine seconds: each measured time is
-scaled by the machine speed sampled over it (``clock.py``).
+Reported times are speed-normalized seconds: each measured time is
+scaled by the machine speed sampled over it (``clock.py``), which on a
+host in its fast state leaves it as measured.  The raw wall times are
+kept in the run record and printed next to the normalized ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -90,12 +93,12 @@ class Pass:
 
     @property
     def factor(self) -> float:
-        """Quiet-machine seconds per measured second."""
+        """Speed-normalized seconds per measured second."""
         return self.speed if self.speed is not None else 1.0
 
     @property
     def seconds(self) -> float:
-        """The pass's wall time in quiet-machine seconds."""
+        """The pass's wall time in speed-normalized seconds."""
         return self.wall * self.factor
 
 
@@ -181,6 +184,11 @@ class DataplaneSaturated(Workload):
         from repro.traffic.harness import TestbedHarness
         out = Pass()
         runs = len(self.counter.runs)
+        # The previous pass's deployment holds reference cycles: collect
+        # it before timing, so that neither peak RSS nor collection
+        # pauses depend on how many passes fit in the window.
+        self.deployment = None
+        gc.collect()
         start = time.perf_counter()
         self.deployment = self._build()
         harness = TestbedHarness(self.deployment)
@@ -389,7 +397,7 @@ def end_to_end(passes: List[Pass], setup_s: float) -> Dict[str, float]:
 
 def per_layer(tracer: SpanTracer, traced: Pass, untraced: Pass,
               efficiency_pass: Pass) -> Dict[str, float]:
-    # Times are quiet-machine seconds: each scaled by its pass's speed.
+    # Times are speed-normalized: each scaled by its pass's speed.
     frames = max(traced.frames, 1)
     speed = traced.factor
     us = 1e6 * speed / frames
@@ -438,8 +446,6 @@ def per_layer(tracer: SpanTracer, traced: Pass, untraced: Pass,
     m["experiments.analytic_s"] = untraced.factor * sum(
         (s for key, s in untraced.experiment_s.items()
          if key not in TIMED_EXPERIMENTS), 0.0)
-    m["bench.frames_per_pass"] = float(traced.frames)
-    m["bench.traced_wall_s"] = traced.seconds
     m["bench.tracing_overhead"] = traced.seconds / untraced.seconds
     return m
 
@@ -531,9 +537,13 @@ def measure(workload: Workload, seconds: float, trace: bool,
         tracer.write(spans)
         result["spans_file"] = str(spans.relative_to(ROOT))
         result["spans_kept"] = len(tracer.spans)
+        result["traced_frames"] = traced.frames
+        result["traced_wall_s"] = traced.seconds
     attempted, failed, failures = check(passes, golden)
+    # The raw measurement behind every normalized time.
     result.update(pass_wall_s=[p.wall for p in passes],
-                  pass_speed=[p.speed for p in passes])
+                  pass_speed=[p.speed for p in passes],
+                  raw_wall_s=statistics.median(p.wall for p in passes))
     result.update(passes=len(passes), attempted=attempted, failed=failed,
                   failures=failures[:20],
                   outputs=passes[0].outputs,
