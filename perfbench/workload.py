@@ -171,7 +171,7 @@ class DataplaneSaturated(Workload):
         from repro.core.spec import DeploymentSpec
         self.spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                                    num_vswitch_vms=2)
-        self.deployment = self._build()  # warms the builder's imports
+        self.deployment = self._build()  # warms the deployment imports
 
     def _build(self):
         # Looked up per call so that the traced pass's wrapper is used.
@@ -478,7 +478,7 @@ def run_record() -> Dict[str, object]:
     }
 
 
-# -- driver ---------------------------------------------------------------
+# -- measurement ----------------------------------------------------------
 
 def measure(workload: Workload, seconds: float, trace: bool,
             setup_s: float, sampler: SpeedSampler) -> Dict[str, object]:
