@@ -253,7 +253,7 @@ def test_e2e_des_packet_rate(benchmark):
         spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                               num_vswitch_vms=2)
         d = build_deployment(spec, TrafficScenario.P2V)
-        h = TestbedHarness(d)
+        h = TestbedHarness(d, batch=False)
         h.configure_tenant_flows(rate_per_flow_pps=200_000)
         result = h.run(duration=0.01)
         return result.sent
@@ -304,7 +304,7 @@ def test_e2e_metered_packet_rate(benchmark):
         spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                               num_vswitch_vms=2)
         d = build_deployment(spec, TrafficScenario.P2V)
-        h = TestbedHarness(d)
+        h = TestbedHarness(d, batch=False)
         h.configure_tenant_flows(rate_per_flow_pps=200_000)
         session = MeteringSession(d, h, interval=0.002)
         session.arm(0.01)
@@ -334,7 +334,7 @@ def test_e2e_traced_packet_rate(benchmark):
         d = build_deployment(spec, TrafficScenario.P2V)
         tracer = obs.enable_tracing(d.sim)
         try:
-            h = TestbedHarness(d)
+            h = TestbedHarness(d, batch=False)
             h.configure_tenant_flows(rate_per_flow_pps=200_000)
             result = h.run(duration=0.01)
             # len(tracer) counts accepted records without forcing the
@@ -366,7 +366,7 @@ def test_e2e_controlplane_packet_rate(benchmark):
         spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                               num_vswitch_vms=2)
         d = build_deployment(spec, TrafficScenario.P2V)
-        h = TestbedHarness(d)
+        h = TestbedHarness(d, batch=False)
         h.configure_tenant_flows(rate_per_flow_pps=200_000)
         plan = ChurnPlan(
             duration=0.01, arrival_rate=0.0, heartbeat=0.001,

@@ -7,15 +7,15 @@ churn and the packet-level testbed: it schedules real
 that a :class:`~repro.traffic.harness.TestbedHarness` is about to
 drive.
 
-The script participates in the oracle-forcing gate
-(:func:`repro.faults.runtime.chaos_pending`): each scheduled operation
-registers a *lifecycle hold* the moment it is armed, so a harness that
-starts afterwards sees pending churn and takes the per-frame oracle
-path -- mid-run mutations and the batched fast path do not compose,
-and the differential fuzz suite proves the oracle path byte-identical
-instead.  The hold is released when the operation fires (the
-orchestrator holds its own for the migration window); :meth:`close`
-releases anything still armed, so an aborted run cannot leak the gate.
+The script participates in the oracle-forcing gate: each scheduled
+operation marks the deployment (``hold_oracle("lifecycle")``) the
+moment it is armed, so a harness that starts afterwards sees pending
+churn and takes the per-frame oracle path -- mid-run mutations and the
+batched fast path do not compose, and the differential fuzz suite
+proves the oracle path byte-identical instead.  The mark is released
+when the operation fires (the orchestrator holds its own for the
+migration window); :meth:`close` releases anything still armed, so an
+aborted run cannot leak the mark.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.orchestrator import MtsOrchestrator
-from repro.faults import runtime as _chaos
 
 
 class ChurnScript:
@@ -40,20 +39,20 @@ class ChurnScript:
                            target: int) -> None:
         """Arm a live migration of ``tenant_id`` to compartment
         ``target`` at simulated time ``at``."""
-        _chaos.lifecycle_begin()
+        self.deployment.hold_oracle("lifecycle")
         self._armed += 1
         self.sim.schedule(at, self._fire_migration, tenant_id, target)
 
     def schedule_removal(self, at: float, tenant_id: int) -> None:
         """Arm a graceful tenant removal at simulated time ``at``."""
-        _chaos.lifecycle_begin()
+        self.deployment.hold_oracle("lifecycle")
         self._armed += 1
         self.sim.schedule(at, self._fire_removal, tenant_id)
 
     def _release(self) -> None:
         if self._armed > 0:
             self._armed -= 1
-            _chaos.lifecycle_end()
+            self.deployment.release_oracle("lifecycle")
 
     def _fire_migration(self, tenant_id: int, target: int) -> None:
         try:

@@ -58,7 +58,7 @@ _INF = float("inf")
 _NO_FUSE = object()
 
 
-@dataclass
+@dataclass(eq=False)  # identity-hashed: repro.obs tracks live ones
 class Deployment:
     """A built, runnable configuration."""
 
@@ -87,6 +87,9 @@ class Deployment:
     #: Runtime tenant -> compartment overrides (hot-added or migrated
     #: tenants); consulted before the spec's static assignment.
     runtime_compartment: Dict[int, int] = field(default_factory=dict)
+    #: Oracle marks held on this deployment: reason -> count (see
+    #: :meth:`hold_oracle`).
+    oracle_holds: Dict[str, int] = field(default_factory=dict)
 
     # -- traffic attachment -------------------------------------------------
 
@@ -141,6 +144,34 @@ class Deployment:
             if bridge.model is not None:
                 bridge.model.offered_rate_hint_pps = pps
 
+    # -- oracle marks -----------------------------------------------------------
+
+    def hold_oracle(self, reason: str) -> None:
+        """Mark this deployment's runs for the per-frame oracle path.
+
+        Whatever can change the run at instants the batched path cannot
+        see coming holds a mark while it is armed: a chaos session
+        (``"chaos"``), a scheduled or in-flight tenant migration or
+        removal (``"lifecycle"``), and the packet tracer (``"tracer"``,
+        whose per-hop spans exist only per frame).  A batch straddling
+        a fault or lifecycle instant would deliver or drop as a unit
+        where the oracle splits it at the instant.  Balanced by
+        :meth:`release_oracle`.
+        """
+        self.oracle_holds[reason] = self.oracle_holds.get(reason, 0) + 1
+
+    def release_oracle(self, reason: str) -> None:
+        """Drop one mark taken by :meth:`hold_oracle`."""
+        n = self.oracle_holds.get(reason, 0) - 1
+        if n > 0:
+            self.oracle_holds[reason] = n
+        else:
+            self.oracle_holds.pop(reason, None)
+
+    def oracle_reason(self) -> Optional[str]:
+        """The first reason a mark is held for, or None."""
+        return next(iter(self.oracle_holds), None)
+
     # -- batched fast path ----------------------------------------------------
 
     def supports_batched_fastpath(self) -> bool:
@@ -169,10 +200,9 @@ class Deployment:
         self._route_cache = {}
         self._margin_epoch = None
         # Fused routes assume the chain's wiring is stable for the run;
-        # a pending fault plan (bridge crashes/restarts) breaks that, so
-        # such runs keep the margin-flush path everywhere.
-        from repro.faults import runtime as _chaos
-        self._allow_fused = not _chaos.chaos_pending()
+        # a marked deployment (bridge crashes, migrations) breaks that,
+        # so such runs keep the margin-flush path everywhere.
+        self._allow_fused = self.oracle_reason() is None
         # Bridge egress pair -> (nic port, VF) so the resolver can walk
         # the same VEB the flushed frames will traverse.
         pair_vf: Dict[int, tuple] = {}
@@ -204,6 +234,8 @@ class Deployment:
             bridge.set_batch_stations(
                 margin_fn=lambda plan, b=bridge:
                     self._resolve_plan(b, plan))
+        self._batch_stations = [station for bridge in timed
+                                for station in bridge._stations]
 
     def drain_batches(self) -> None:
         """Flush sub-batches still held by batch stations.
@@ -218,6 +250,22 @@ class Deployment:
                 drain = getattr(station, "drain", None)
                 if drain is not None:
                     drain()
+
+    def batch_watermark(self) -> float:
+        """Earliest time a batch station can still hand members on.
+
+        Members not yet served finish at or after ``sim.now``; served
+        ones wait in their station's unflushed groups, and every hop
+        after a station only adds delay.  So nothing can reach the
+        egress link ready before this bound: the harness's egress hold
+        (:meth:`~repro.net.link.Link.hold`) settles up to it.
+        """
+        mark = self.sim.now
+        for station in self._batch_stations:
+            t = station.oldest_unflushed()
+            if t is not None and t < mark:
+                mark = t
+        return mark
 
     def _plan_flush_margin(self, bridge: OvsBridge, plan) -> float:
         """Flush-lateness bound for one forwarding plan (see
@@ -367,7 +415,7 @@ class Deployment:
         filters = nic.filters
         bw = nic.pcie.effective_bandwidth_bps()
         frame = plan.frame.replica()
-        delay = 0.0
+        legs: list = []
         app = None
         pair = out_port.pair
         target = None
@@ -384,8 +432,8 @@ class Deployment:
                 return None, False
             if filters.peek(vf, frame) is not FilterAction.ALLOW:
                 return None, False
-            delay += (DMA_LATENCY + frame.wire_size() * 8.0 / bw
-                      + VEB_LATENCY)
+            legs.append(DMA_LATENCY + frame.wire_size() * 8.0 / bw
+                        + VEB_LATENCY)
             dests = nic_port.veb.peek_destinations(
                 vf.name, VebSwitch.domain_of(vf), frame)
             if len(dests) != 1 or dests[0] == UPLINK:
@@ -395,7 +443,7 @@ class Deployment:
                 return None, False
             if frame.vlan is not None:
                 frame.pop_vlan()
-            delay += DMA_LATENCY + frame.wire_size() * 8.0 / bw
+            legs.append(DMA_LATENCY + frame.wire_size() * 8.0 / bw)
             target = self._bridge_port_by_pair.get(id(func.port))
             if target is not None:
                 break
@@ -406,8 +454,7 @@ class Deployment:
             route_l2 = app._routes.get(in_index)
             if route_l2 is None:
                 return None, False
-            from repro.vswitch.l2fwd import L2FWD_CYCLES
-            delay += L2FWD_CYCLES / app.freq_hz
+            legs.append(None)  # per member: see _FusedRoute.legs
             frame.dst_mac = route_l2.new_dst_mac
             if route_l2.new_src_mac is not None:
                 frame.src_mac = route_l2.new_src_mac
@@ -440,8 +487,11 @@ class Deployment:
         if self._plan_flush_margin(bridge2, plan2) != _INF:
             return None, False
         index2 = frame.flow_id % len(bridge2._stations)
+        from repro.vswitch.l2fwd import L2FWD_CYCLES
         route = _FusedRoute()
-        route.delay_const = delay
+        route.legs = tuple(legs)
+        route.l2fwd_base = (L2FWD_CYCLES / app.freq_hz if app is not None
+                            else 0.0)
         route.drain_interval = app.drain_interval if app is not None else 0.0
         route.drain_unit = app._jitter.unit if app is not None else None
         route.drain_site = HashJitter.SITE_L2FWD_DRAIN

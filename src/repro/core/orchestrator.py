@@ -373,8 +373,7 @@ class MtsOrchestrator:
                                  completed_at=started + downtime)
         # The chain is rewiring until completion lands: hold the
         # batched fast path onto the per-frame oracle for the window.
-        from repro.faults import runtime as _chaos
-        _chaos.lifecycle_begin()
+        d.hold_oracle("lifecycle")
         d.sim.call_later(downtime, self._complete_migration, tenant_id,
                          target)
         self.migrations.append(record)
@@ -416,8 +415,7 @@ class MtsOrchestrator:
         self._install_filters(tenant_id, view)
         self._setup_arp(tenant_id, view)
         self.tenant_compartment[tenant_id] = target
-        from repro.faults import runtime as _chaos
-        _chaos.lifecycle_end()
+        d.release_oracle("lifecycle")
 
     # -- fault injection ----------------------------------------------------
 

@@ -39,6 +39,9 @@ DEFAULT_AGGREGATE_PPS = 10 * KPPS
 
 WORKLOAD = "fig5.latency"
 
+#: Measurement-window start of the figure's runs, in seconds.
+WARMUP = 0.05
+
 
 @dataclass
 class LatencyMeasurement:
@@ -111,6 +114,9 @@ def scenarios(mode: str = EvalMode.SHARED, frame_bytes: int = 64,
               calibration: Calibration = DEFAULT_CALIBRATION
               ) -> List[ScenarioSpec]:
     """One figure row as engine-consumable specs."""
+    # The measurement clamps warmup to a third of the window; a window
+    # too short for the default warmup gets the clamped value up front.
+    warmup = WARMUP if duration > WARMUP else duration / 3.0
     specs: List[ScenarioSpec] = []
     for config in configs_for_mode(mode):
         for scenario in SCENARIOS:
@@ -121,7 +127,7 @@ def scenarios(mode: str = EvalMode.SHARED, frame_bytes: int = 64,
                 deployment=config.spec(),
                 traffic=scenario,
                 duration=duration,
-                warmup=0.05,
+                warmup=warmup,
                 seed=seed,
                 eval_mode=mode,
                 label=config.label,

@@ -58,9 +58,7 @@ def measure_scenario(spec: ScenarioSpec,
     """Engine entry point: victim delivery/latency under the flood."""
     deployment = build_deployment(spec.deployment, spec.traffic,
                                   seed=spec.seed, calibration=calibration)
-    # Batched fast path where it is exact; chaos compositions (the
-    # billing fault-payer runs) silently fall back to per-frame.
-    harness = TestbedHarness(deployment, batch=True)
+    harness = TestbedHarness(deployment)
     harness.add_tenant_flow(ATTACKER, ATTACK_RATE_PPS)
     for victim in VICTIMS:
         harness.add_tenant_flow(victim, VICTIM_RATE_PPS)

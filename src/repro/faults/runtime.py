@@ -42,43 +42,14 @@ class _Context:
 
 _active: Optional[_Context] = None
 
-#: Outstanding tenant-lifecycle operations (migrations, drains, churn
-#: scripts) that will rewire the mediation chain mid-run.  Held by the
-#: control plane / orchestrator between scheduling a transition and its
-#: completion; consulted by :func:`chaos_pending` so the batched fast
-#: path never pre-cuts a burst across a lifecycle instant.
-_lifecycle_holds: int = 0
-
 
 def activate(plan, seed: int) -> _Context:
     """Install the chaos context for the scenario about to run.  The
     plan may be ``None`` (fault-free run); activating anyway keeps the
     engine's control flow uniform."""
-    global _active, _lifecycle_holds
+    global _active
     _active = _Context(plan, seed)
-    # A scenario boundary starts with a clean slate: a hold leaked past
-    # the previous workload (e.g. a migration completing after its
-    # run's horizon) must not force this scenario onto the oracle path.
-    _lifecycle_holds = 0
     return _active
-
-
-def lifecycle_begin(n: int = 1) -> None:
-    """Register ``n`` pending lifecycle transitions (migration, drain,
-    scripted churn).  Must be balanced by :func:`lifecycle_end`."""
-    global _lifecycle_holds
-    _lifecycle_holds += n
-
-
-def lifecycle_end(n: int = 1) -> None:
-    """Release ``n`` holds registered by :func:`lifecycle_begin`."""
-    global _lifecycle_holds
-    _lifecycle_holds = max(0, _lifecycle_holds - n)
-
-
-def lifecycle_pending() -> bool:
-    """Whether any lifecycle transition is scheduled or in flight."""
-    return _lifecycle_holds > 0
 
 
 def deactivate(ctx: Optional[_Context] = None) -> None:
@@ -93,18 +64,6 @@ def active_plan():
     if _active is None or _active.claimed:
         return None
     return _active.plan
-
-
-def chaos_pending() -> bool:
-    """Whether the in-flight scenario carries faults at all -- claimed
-    or not -- or a tenant-lifecycle transition (migration, drain) is
-    pending.  Fast-path route fusing keys off this: fused routes assume
-    the mediation chain's wiring is stable for the run, which a fault
-    plan (bridge crashes, restarts) or a live migration violates."""
-    if _lifecycle_holds > 0:
-        return True
-    return (_active is not None and _active.plan is not None
-            and bool(_active.plan.faults))
 
 
 def claim() -> Tuple[Optional[object], Optional[int]]:

@@ -117,7 +117,11 @@ class ChaosSession:
     # -- lifecycle --------------------------------------------------------
 
     def arm(self, horizon: float) -> None:
-        """Snapshot baselines, schedule the plan, start the watchdog."""
+        """Snapshot baselines, schedule the plan, start the watchdog.
+
+        Marks the deployment for the per-frame oracle until
+        :meth:`finish` (see ``Deployment.hold_oracle``)."""
+        self.deployment.hold_oracle("chaos")
         self._horizon = horizon
         self._armed_at = self.sim.now
         self._drops_base = drop_totals(self.deployment)
@@ -310,6 +314,7 @@ class ChaosSession:
         returns a flat summary (idempotent)."""
         if self._finished is not None:
             return self._finished
+        self.deployment.release_oracle("chaos")
         lg = self.harness.lg
         sink = self.harness.sink
         offered = lg.sent

@@ -10,13 +10,15 @@ gives measurement code the same vantage point the DAG card had.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.net.interfaces import Port
 from repro.net.packet import Frame, FrameBatch
 from repro.sim.kernel import Simulator
 from repro.units import GBPS
+
+_INF = float("inf")
 
 
 class OpticalTap:
@@ -28,18 +30,31 @@ class OpticalTap:
     def __init__(self, name: str):
         self.name = name
         self._observers: List[Callable[[Frame, float], None]] = []
-        self._batch_observers: List[
-            Callable[[FrameBatch, List[float]], None]] = []
+        #: Batch twin of each observer, parallel to ``_observers``
+        #: (``None`` for an unpaired observer).
+        self._twins: List[
+            Optional[Callable[[FrameBatch, List[float]], None]]] = []
         self.frames_seen = 0
 
-    def observe(self, callback: Callable[[Frame, float], None]) -> None:
-        self._observers.append(callback)
+    def observe(self, callback: Callable[[Frame, float], None],
+                batch: Optional[Callable[[FrameBatch, List[float]], None]]
+                = None) -> None:
+        """Register ``callback(frame, timestamp)``.
 
-    def observe_batch(
-            self, callback: Callable[[FrameBatch, List[float]], None]) -> None:
-        """Register a batch-aware observer: gets ``(batch, starts)``
-        with one wire-entry timestamp per member."""
-        self._batch_observers.append(callback)
+        ``batch(batch, starts)`` is its struct-of-arrays twin: it gets
+        whole batches with one wire-entry timestamp per member.  An
+        observer registered without a twin is *unpaired*: batches still
+        reach it, one materialized member at a time, but those members
+        carry no per-frame state (``Frame.timings``, hop traces) -- so a
+        harness with an unpaired observer runs the per-frame oracle.
+        """
+        self._observers.append(callback)
+        self._twins.append(batch)
+
+    @property
+    def unpaired(self) -> int:
+        """Observers registered without a batch twin."""
+        return sum(1 for twin in self._twins if twin is None)
 
     def _notify(self, frame: Frame, now: float) -> None:
         self.frames_seen += 1
@@ -48,18 +63,12 @@ class OpticalTap:
 
     def _notify_batch(self, batch: FrameBatch, starts: List[float]) -> None:
         self.frames_seen += len(batch)
-        if self._batch_observers:
-            # An observer that registers a batch callback is expected to
-            # also own any per-frame registration it made (it sees each
-            # member exactly once, through the batch form).
-            for callback in self._batch_observers:
-                callback(batch, starts)
-            return
-        # Purely legacy observers: materialize members for them.
-        for i, t in enumerate(starts):
-            frame = batch.frame_at(i)
-            for callback in self._observers:
-                callback(frame, t)
+        for callback, twin in zip(self._observers, self._twins):
+            if twin is not None:
+                twin(batch, starts)
+            else:
+                for i, t in enumerate(starts):
+                    callback(batch.frame_at(i), t)
 
 
 class Link:
@@ -69,6 +78,9 @@ class Link:
     frame (unbounded queue: the sender's NIC ring is modelled upstream).
     An optional :class:`OpticalTap` sees frames at transmit start, which
     matches a passive tap placed at the sender side.
+
+    Batches (:meth:`send_batch`) carry analytic per-member ready times
+    and may be handed over out of ready-time order; see :meth:`hold`.
     """
 
     def __init__(
@@ -91,12 +103,20 @@ class Link:
         self._busy_until = 0.0
         self.tx_frames = 0
         self.tx_bytes = 0
+        #: Watermark of the egress hold (see :meth:`hold`); None when
+        #: batches serialize as they are handed over.
+        self._watermark: Optional[Callable[[], float]] = None
+        #: Held batches: a min-heap of (next member's ready time,
+        #: hand-off number, batch, index of that member).
+        self._held: List[Tuple[float, int, FrameBatch, int]] = []
+        self._handoffs = 0
 
     def serialization_time(self, frame: Frame) -> float:
         """Time to clock the frame onto the wire (incl. 20 B phy overhead)."""
         return (frame.wire_size() + 20) * 8.0 / self.bandwidth_bps
 
-    def send(self, frame: Frame, at: Optional[float] = None) -> float:
+    def send(self, frame: Frame, at: Optional[float] = None
+             ) -> Optional[float]:
         """Schedule the frame for delivery; returns its arrival time.
 
         ``at`` lets burst emitters hand the link a frame whose wire
@@ -104,8 +124,16 @@ class Link:
         serialized from ``at`` instead of ``sim.now``, so a burst of N
         frames submitted in one event carries the same per-packet
         timestamps as N individually scheduled sends.
+
+        Under a :meth:`hold` the frame joins the held batches as a
+        batch of one (ready at ``at`` or now) and the arrival time is
+        not known yet: returns None.
         """
         t = self.sim.now if at is None else at
+        if self._watermark is not None:
+            self.send_batch(FrameBatch(frame, [frame.frame_id], [t],
+                                       [frame.created_at]))
+            return None
         start = t if t > self._busy_until else self._busy_until
         if self.tap is not None:
             self.tap._notify(frame, start)
@@ -119,54 +147,84 @@ class Link:
         _obs.TRACER.link_send(self.name, frame, t, start, tx_done, arrival)
         return arrival
 
-    def send_batch(self, batch: FrameBatch) -> float:
-        """Serialize a whole batch; returns the last arrival time.
+    def hold(self, watermark: Optional[Callable[[], float]]) -> None:
+        """Serialize batch hand-offs in ready-time order.
 
-        Members enter the wire at their own (ascending) timestamps and
-        chain through the busy period exactly as per-frame sends would;
-        the batch is advanced to its per-member arrival times and
-        delivered to ``dst`` in a single event at the first arrival.
+        Batched upstreams hand over sub-batches whose members became
+        ready at analytic times, and a sub-batch held back by its flush
+        policy can arrive after later-ready members already went out.
+        The wire is FIFO in ready time, as the per-frame oracle's sends
+        are, so under a hold every hand-off waits on a heap and the link
+        serializes members -- across batches, in ready-time order, ties
+        by hand-off order -- only up to ``watermark()``: a time before
+        which no member can still be handed over.  Settled members go
+        out as *runs* (consecutive members of one batch): one tap
+        notification and one delivery each, made on the spot.
 
-        When two upstreams interleave batches on one link, members of
-        the later-submitted batch serialize after the earlier batch's
-        even if individual timestamps interleave -- a bounded
-        reordering of the wire *occupancy* only (documented batch-path
-        approximation; delivery counts are unaffected).
+        ``hold(None)`` settles everything still held and returns the
+        link to serializing hand-offs as they arrive.
         """
-        ts = batch.ts
-        n = len(ts)
-        wire = batch.frame.wire_size()
-        ser = (wire + 20) * 8.0 / self.bandwidth_bps
-        # A batch held back by its flush margin can reach the wire after
-        # newer frames already went out.  Its members occupied the wire
-        # back in their own window, so chain them from their first
-        # timestamp rather than behind the newest transmission -- any
-        # overlap with what was sent meanwhile is ignored (bounded
-        # occupancy approximation at low utilization, exact otherwise).
-        busy = self._busy_until
-        if ts[0] < busy:
-            busy = ts[0]
-        starts = [0.0] * n
-        for i in range(n):
-            t = ts[i]
-            start = t if t > busy else busy
-            starts[i] = start
-            busy = start + ser
-            ts[i] = busy + self.propagation_delay
-        if busy > self._busy_until:
-            self._busy_until = busy
+        if watermark is None and self._watermark is not None:
+            self._settle(_INF)
+        self._watermark = watermark
+
+    def send_batch(self, batch: FrameBatch) -> None:
+        """Hand over a batch (``ts`` ascending: member ready times).
+
+        Members serialize through the wire's busy chain exactly as
+        per-frame sends at their ready times would.  Without a
+        :meth:`hold` that happens at once, so interleaving hand-offs
+        serialize in hand-off order.
+        """
+        n = len(batch)
         self.tx_frames += n
-        self.tx_bytes += wire * n
-        if self.tap is not None:
-            self.tap._notify_batch(batch, starts)
-        # Held sub-batches (unbounded flush margins) may be handed to
-        # the wire after their first member's arrival time has passed;
-        # the content is analytic in ``ts`` either way, so deliver at
-        # the first legal instant.
-        now = self.sim.now
-        self.sim.schedule(ts[0] if ts[0] > now else now,
-                          self._deliver_batch, batch)
-        return ts[-1]
+        self.tx_bytes += batch.frame.wire_size() * n
+        heapq.heappush(self._held, (batch.ts[0], self._handoffs, batch, 0))
+        self._handoffs += 1
+        watermark = self._watermark
+        self._settle(_INF if watermark is None else watermark())
+
+    def _settle(self, upto: float) -> None:
+        """Serialize held members ready at or before ``upto``."""
+        held = self._held
+        prop = self.propagation_delay
+        busy = self._busy_until
+        while held and held[0][0] <= upto:
+            _, seq, batch, i = heapq.heappop(held)
+            # The run ends where the next held batch's member would
+            # come first (equal ready times: earlier hand-off first),
+            # or past the watermark.
+            if held and held[0][0] <= upto:
+                stop_t, stop_seq = held[0][0], held[0][1]
+            else:
+                stop_t, stop_seq = upto, seq
+            ts = batch.ts
+            n = len(ts)
+            ser = (batch.frame.wire_size() + 20) * 8.0 / self.bandwidth_bps
+            starts = []
+            arrivals = []
+            j = i
+            while j < n:
+                t = ts[j]
+                if t > stop_t or (t == stop_t and seq > stop_seq):
+                    break
+                start = t if t > busy else busy
+                starts.append(start)
+                busy = start + ser
+                arrivals.append(busy + prop)
+                j += 1
+            if j < n:
+                heapq.heappush(held, (ts[j], seq, batch, j))
+            if i == 0 and j == n:
+                run = batch
+                run.ts = arrivals
+            else:
+                run = FrameBatch(batch.frame, batch.frame_ids[i:j], arrivals,
+                                 batch.created_at[i:j])
+            self._busy_until = busy
+            if self.tap is not None:
+                self.tap._notify_batch(run, starts)
+            self._deliver_batch(run)
 
     def send_interleaved(self, batches: List[FrameBatch]) -> None:
         """Serialize several batches whose timestamps interleave.

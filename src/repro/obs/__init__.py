@@ -38,6 +38,7 @@ Typical use (also what ``repro obs`` does)::
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.obs.metrics import (
@@ -60,11 +61,19 @@ REGISTRY = MetricsRegistry()
 #: summary tables after every run (set by the ``repro obs`` CLI).
 PRINT_RUN_SUMMARY = False
 
+#: Every live built deployment.  The tracer is process-wide, so it
+#: touches all of them: while it records, each holds a "tracer" oracle
+#: mark (its per-hop spans exist only on the per-frame path).
+_DEPLOYMENTS: "weakref.WeakSet" = weakref.WeakSet()
+
 
 def enable_tracing(sim=None, capacity: int = 1_000_000) -> PacketTracer:
     """Swap in a recording tracer, bound to ``sim``'s clock when given.
     Returns the tracer (also reachable as ``repro.obs.TRACER``)."""
     global TRACER
+    if not TRACER.enabled:
+        for deployment in list(_DEPLOYMENTS):
+            deployment.hold_oracle("tracer")
     tracer = PacketTracer(clock=(lambda: sim.now) if sim is not None else None,
                           capacity=capacity, sim=sim)
     TRACER = tracer
@@ -76,6 +85,9 @@ def enable_tracing(sim=None, capacity: int = 1_000_000) -> PacketTracer:
 def disable_tracing() -> None:
     """Restore the zero-cost no-op tracer."""
     global TRACER
+    if TRACER.enabled:
+        for deployment in list(_DEPLOYMENTS):
+            deployment.release_oracle("tracer")
     TRACER = NullTracer()
 
 
@@ -92,10 +104,12 @@ def on_deployment_built(deployment) -> None:
     """Bind the registry (and an active tracer) to a new deployment's
     simulation clock.  Called by ``build_deployment``; with several live
     deployments the most recently built one owns the clock."""
+    _DEPLOYMENTS.add(deployment)
     sim = deployment.sim
     REGISTRY.set_clock(lambda: sim.now)
     if TRACER.enabled:
         TRACER.bind_sim(sim)
+        deployment.hold_oracle("tracer")
 
 
 def on_run_complete(harness, result) -> None:

@@ -134,6 +134,12 @@ class ScenarioSpec:
             object.__setattr__(self, "faults",
                                FaultPlan.from_dict(self.faults))
         self.deployment.validate_scenario(self.traffic)
+        if self.duration < 0:
+            raise ValueError(f"negative duration: {self.duration}")
+        if self.duration > 0 and not 0.0 <= self.warmup < self.duration:
+            raise ValueError(
+                f"need 0 <= warmup < duration, got warmup={self.warmup} "
+                f"and duration={self.duration}")
 
     # -- accessors --------------------------------------------------------
 

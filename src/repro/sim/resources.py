@@ -268,6 +268,20 @@ class BatchFairStation:
             else:
                 self._dirty.append(group)
 
+    def oldest_unflushed(self) -> Optional[float]:
+        """Finish time of the oldest served-but-unflushed member, if any.
+
+        Nothing this station still holds can reach a downstream point
+        earlier than this (or than the current time, for members not
+        yet served): the bound an egress hold settles up to.
+        """
+        oldest = None
+        for group in self._dirty:
+            t = group.oldest_commit()
+            if t is not None and (oldest is None or t < oldest):
+                oldest = t
+        return oldest
+
     def dropped(self) -> int:
         return sum(q.dropped for q in self._queues.values())
 
@@ -281,8 +295,11 @@ class BatchFairStation:
     def _arm(self, at: float) -> None:
         if self._wake_event is not None:
             self._wake_event.cancel()
-        delay = max(0.0, at - self.sim.now)
-        self._wake_event = self.sim.call_later(delay, self._wake)
+        # Schedule at ``at`` itself: ``now + (at - now)`` can miss it by
+        # an ulp, and the admission time then differs from the oracle's.
+        now = self.sim.now
+        self._wake_event = self.sim.schedule(at if at > now else now,
+                                             self._wake)
         self._wake_time = at
 
     def _wake(self) -> None:

@@ -5,6 +5,24 @@ built deployment: the load generator feeds the DUT's ingress NIC port
 over a 10G link, the DUT's egress port feeds the sink, and passive taps
 on both links drive the latency monitor.  One-port deployments (the
 Fig. 6 workload topology) hairpin: ingress and egress share port 0.
+
+Runs take the batched data plane by default: bursts cross the
+mediation chain as struct-of-arrays batches, bit-identical to the
+per-frame oracle in every delivered frame, drop and latency sample
+(``tests/test_fastpath_fuzz.py``).  A run falls back to the oracle,
+and says why in ``HarnessResult.oracle_reason``, when the batched path
+could not reproduce it:
+
+- ``"batch=False"``: the caller asked for the oracle (tests);
+- ``"tracer"``, ``"chaos"``, ``"lifecycle"``: the deployment holds an
+  oracle mark (:meth:`~repro.core.deployment.Deployment.hold_oracle`)
+  -- a packet tracer, an armed chaos session, or a pending tenant
+  migration or removal;
+- ``"unpaired tap observer"``: a tap observer without a batch twin,
+  which expects per-frame state (``Frame.timings``) batches lack;
+- ``"cache-busting flows"``: randomized source ports, where every
+  packet is its own flow and cannot share a batch;
+- ``"untimed deployment"``: no timed bridge, so nothing to batch.
 """
 
 from __future__ import annotations
@@ -35,6 +53,14 @@ class HarnessResult:
     delivered: int
     latencies: List[float]
     window: tuple
+    #: Why the run took the per-frame oracle path (see the module
+    #: docstring); None when it ran batched.
+    oracle_reason: Optional[str] = None
+
+    @property
+    def path(self) -> str:
+        """The data-plane path the run took: "batched" or "oracle"."""
+        return "batched" if self.oracle_reason is None else "oracle"
 
     @property
     def loss_fraction(self) -> float:
@@ -53,16 +79,18 @@ class TestbedHarness:
 
     def __init__(self, deployment: Deployment,
                  link_bandwidth_bps: float = 10 * GBPS,
-                 batch: bool = False) -> None:
+                 batch: bool = True) -> None:
         # Frame ids restart per harnessed run: per-frame jitter draws
         # are keyed by them, and runs must not depend on how many
         # frames earlier runs in this process created.
         packet.reset_frame_ids()
         self.deployment = deployment
-        #: Requested struct-of-arrays fast path.  Resolved at
-        #: :meth:`run` -- tracing, cache-busting flows or an untimed
-        #: deployment silently fall back to the per-frame oracle path.
+        #: False selects the per-frame oracle (differential tests).
+        #: Otherwise :meth:`run` takes the batched path unless one of
+        #: the module docstring's conditions forces the oracle.
         self.batch = batch
+        #: Oracle reason of the last :meth:`run` (None: it ran batched).
+        self.oracle_reason: Optional[str] = None
         self.sim = deployment.sim
         self.ingress_tap = OpticalTap("tap.lg-dut")
         self.egress_tap = OpticalTap("tap.dut-sink")
@@ -125,21 +153,39 @@ class TestbedHarness:
         for tenant in tenants:
             self.add_tenant_flow(tenant, rate_per_flow_pps, frame_bytes)
 
+    def _pick_oracle_reason(self) -> Optional[str]:
+        """Why a run started now must take the per-frame oracle path
+        (None: it can run batched).  See the module docstring."""
+        if not self.batch:
+            return "batch=False"
+        reason = self.deployment.oracle_reason()
+        if reason is not None:
+            return reason
+        if self.ingress_tap.unpaired or self.egress_tap.unpaired:
+            return "unpaired tap observer"
+        if not self.lg.supports_batching():
+            return "cache-busting flows"
+        if not self.deployment.supports_batched_fastpath():
+            return "untimed deployment"
+        return None
+
     def run(self, duration: float, warmup: float = 0.0,
             cooldown: float = 0.05) -> HarnessResult:
         """Send for ``duration`` seconds; measure the window after
         ``warmup``.  ``cooldown`` lets in-flight frames land."""
+        if not 0.0 <= warmup < duration:
+            raise ValueError(
+                f"need 0 <= warmup < duration, got warmup={warmup} and "
+                f"duration={duration}")
         offered = self.lg.aggregate_rate_pps
         self.deployment.set_offered_rate_hint(offered)
-        # A pending fault plan forces the per-frame oracle path: fault
-        # and heal instants land at arbitrary sim times, and a batch
-        # whose members straddle one would deliver or drop as a unit
-        # where the oracle splits it at the instant.
+        # A fault plan on the running scenario's spec attaches here, so
+        # any harness-based workload is chaos-capable without changes.
+        # Arming it marks the deployment, so it comes before the path.
         from repro.faults import runtime as _chaos
-        if (self.batch and not _obs.TRACER.enabled
-                and not _chaos.chaos_pending()
-                and self.lg.supports_batching()
-                and self.deployment.supports_batched_fastpath()):
+        chaos_session = _chaos.attach_active_session(self, horizon=duration)
+        reason = self.oracle_reason = self._pick_oracle_reason()
+        if reason is None:
             self.deployment.enable_batched_fastpath()
             self.lg.batch = True
             # Wider bursts amortize per-batch work; timestamps are
@@ -148,14 +194,14 @@ class TestbedHarness:
             # left alone.
             if self.lg.burst == DEFAULT_BURST:
                 self.lg.burst = BATCHED_BURST
+            # Sub-batches reach the egress wire out of ready-time order;
+            # the hold serializes them in order (see Link.hold).
+            self.egress_link.hold(self.deployment.batch_watermark)
             # Unbounded-margin groups hold until their burst completes;
             # bursts cut short by the end of traffic need a sweep while
             # the simulation is still running.
             self.sim.call_later(duration + cooldown * 0.5,
                                 self.deployment.drain_batches)
-        # A fault plan on the running scenario's spec attaches here, so
-        # any harness-based workload is chaos-capable without changes.
-        chaos_session = _chaos.attach_active_session(self, horizon=duration)
         # Likewise for metering: a spec that asked for billing gets a
         # session that windows usage while this run executes.
         from repro.billing import runtime as _metering
@@ -163,6 +209,8 @@ class TestbedHarness:
             self, horizon=duration, chaos=chaos_session)
         self.lg.start(duration)
         self.sim.run(until=self.sim.now + duration + cooldown)
+        # Settle what the egress hold still keeps back.
+        self.egress_link.hold(None)
         t0, t1 = warmup, duration
         delivered = self.monitor.delivered_in_window(t0, t1)
         result = HarnessResult(
@@ -172,6 +220,7 @@ class TestbedHarness:
             delivered=self.sink.total,
             latencies=self.monitor.latencies_in_window(t0, t1),
             window=(t0, t1),
+            oracle_reason=reason,
         )
         _obs.on_run_complete(self, result)
         if chaos_session is not None:

@@ -107,9 +107,14 @@ class _FusedRoute:
     uses it to *pre-register* each member at the downstream station the
     moment the member commits upstream, deferring the physical chain
     traversal to one accounting sweep per burst.
+
+    ``legs`` holds the per-hop delays in chain order, ``None`` marking
+    the tenant forwarder's (per-member: base cost plus keyed drain
+    wait).  Commits add them one hop at a time, as the oracle's event
+    chain does, so arrival timestamps match it to the last bit.
     """
 
-    __slots__ = ("delay_const", "drain_interval", "drain_unit",
+    __slots__ = ("legs", "l2fwd_base", "drain_interval", "drain_unit",
                  "drain_site", "app", "app_epoch", "bridge",
                  "in_port_no", "template", "template_key", "flow_key",
                  "out_ports", "model", "share", "num_queues",
@@ -289,10 +294,12 @@ class _FusedPassGroup(_BatchPassGroup):
             sink = self.sink = _FusedSink(route)
         batch = self.batch
         fid = batch.frame_ids[i]
-        arrival = t + route.delay_const
-        if route.drain_interval:
-            arrival += route.drain_interval * route.drain_unit(
-                fid, route.drain_site)
+        arrival = t
+        for leg in route.legs:
+            if leg is None:
+                leg = route.l2fwd_base + route.drain_interval * \
+                    route.drain_unit(fid, route.drain_site)
+            arrival += leg
         timing = route.model.timing(
             route.cycles,
             effective_hz=route.share.effective_hz(),
@@ -302,10 +309,11 @@ class _FusedPassGroup(_BatchPassGroup):
             key=(fid << 6) | route.key_or,
         )
         j = sink.append(fid, batch.created_at[i], timing.service)
+        # The pass wait is one sum, as in OvsBridge._dispatch.
         route.station.submit_member(
             sink, j,
-            arrival + timing.fixed_wait + timing.sched_wait
-            + timing.drain_wait)
+            arrival + (timing.fixed_wait + timing.sched_wait
+                       + timing.drain_wait))
         self._remaining -= 1
         self._done_idx.append(i)
         self._done_ts.append(t)

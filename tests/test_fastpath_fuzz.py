@@ -289,15 +289,9 @@ class TestVebDecisionCacheDifferential:
 
 # -- batched mediation chain vs per-frame oracle -------------------------
 
-#: t_out on the batched path carries a bounded wire-occupancy
-#: approximation when a held burst retro-serializes (see
-#: repro/net/link.py); everything else must be byte-identical.
-TOUT_ABS_TOL = 5e-6
-TOUT_FRACTION = 0.02
-
 #: A mid-run vswitch crash that heals: exercises the batch blackhole
-#: handlers installed by the orchestrator and the chaos_pending() gate
-#: that keeps fused routes off while faults are armed.
+#: handlers installed by the orchestrator and the deployment's chaos
+#: mark that keeps fused routes off while faults are armed.
 CRASH_PLAN = None  # built lazily; FaultPlan import is heavier
 
 
@@ -357,10 +351,7 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
             "sent": result.sent,
             "delivered": result.delivered,
             "per_flow": dict(h.sink.per_flow),
-            "samples_tin": sorted((s.flow_id, round(s.t_in, 12))
-                                  for s in mon.samples),
-            "tout_by_key": {(s.flow_id, round(s.t_in, 12)): s.t_out
-                            for s in mon.samples},
+            "samples": [(s.flow_id, s.t_in, s.t_out) for s in mon.samples],
             "eg_count": dict(per_flow_eg),
             "bridge_drops": bridge_drops,
             "nic_drops": (nicd.spoof, nicd.filtered, nicd.no_destination,
@@ -380,11 +371,12 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
 
 
 def _assert_exact(oracle, batched):
-    """The exactness contract: everything byte-identical except the
-    bounded t_out approximation and FP-accumulated CPU meters."""
+    """The exactness contract: everything byte-identical -- including
+    every latency sample's t_in/t_out and the samples' order -- except
+    FP-accumulated CPU meters."""
     import math
 
-    for key in ("sent", "delivered", "per_flow", "samples_tin",
+    for key in ("sent", "delivered", "per_flow", "samples",
                 "eg_count", "bridge_drops", "nic_drops", "drop_spans",
                 "unmatched", "loss"):
         assert oracle[key] == batched[key], key
@@ -398,15 +390,6 @@ def _assert_exact(oracle, batched):
                         f"meter.cpu[{t}]"
             else:
                 assert av == bv, f"meter.{cat}"
-    devs = []
-    for key, t in oracle["tout_by_key"].items():
-        tb = batched["tout_by_key"].get(key)
-        assert tb is not None, f"missing egress sample {key}"
-        devs.append(abs(tb - t))
-    if devs:
-        deviating = sum(1 for dv in devs if dv > 1e-12)
-        assert max(devs) <= TOUT_ABS_TOL
-        assert deviating <= TOUT_FRACTION * len(devs)
 
 
 class TestBatchedChainDifferential:
@@ -451,8 +434,8 @@ class TestBatchedChainDifferential:
         _assert_exact(oracle, batched)
 
     def test_fault_plan_forces_per_frame_path(self):
-        """The chaos_pending() gate itself: with a plan armed the
-        harness must not flip the generator into batched emission."""
+        """The chaos gate itself: with a plan armed the harness must
+        not flip the generator into batched emission."""
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
@@ -501,10 +484,7 @@ class TestBatchedChainDifferential:
             "sent": result.sent,
             "delivered": result.delivered,
             "per_flow": dict(h.sink.per_flow),
-            "samples_tin": sorted((s.flow_id, round(s.t_in, 12))
-                                  for s in mon.samples),
-            "tout_by_key": {(s.flow_id, round(s.t_in, 12)): s.t_out
-                            for s in mon.samples},
+            "samples": [(s.flow_id, s.t_in, s.t_out) for s in mon.samples],
             "eg_count": dict(per_flow_eg),
             "unmatched": mon.unmatched_egress,
             "loss": mon.loss_count(),
@@ -524,34 +504,34 @@ class TestBatchedChainDifferential:
         assert oracle["migrations"] == batched["migrations"]
         assert len(oracle["migrations"]) == 1
         assert oracle["delivered"] < oracle["sent"]  # downtime bit
-        for key in ("sent", "delivered", "per_flow", "samples_tin",
-                    "tout_by_key", "eg_count", "unmatched", "loss"):
+        for key in ("sent", "delivered", "per_flow", "samples",
+                    "eg_count", "unmatched", "loss"):
             assert oracle[key] == batched[key], key
 
     def test_churn_holds_drain(self):
-        """Lifecycle holds must not leak: pending before the ops fire,
+        """Lifecycle marks must not leak: held before the ops fire,
         clear after the run (else every later run is deoptimized)."""
         from repro.controlplane.driver import ChurnScript
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
-        from repro.faults import runtime as chaos
         from repro.traffic import TestbedHarness
 
-        assert chaos.chaos_pending() is False
         spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                               num_vswitch_vms=2)
         d = build_deployment(spec, TrafficScenario.P2V)
+        assert d.oracle_reason() is None
         h = TestbedHarness(d, batch=True)
         h.configure_tenant_flows(rate_per_flow_pps=200_000)
         script = ChurnScript(d)
         try:
             script.schedule_migration(0.001, tenant_id=0, target=1)
-            assert chaos.chaos_pending() is True  # armed = pending
-            h.run(duration=0.004)
+            assert d.oracle_reason() == "lifecycle"  # armed = held
+            result = h.run(duration=0.004)
         finally:
             script.close()
-        assert chaos.chaos_pending() is False  # drained, no leak
+        assert result.oracle_reason == "lifecycle"
+        assert d.oracle_reason() is None  # drained, no leak
 
     def test_billing_reconciliation_on_batched_path(self):
         """MeteringSession windows + invariants must reconcile on the
@@ -574,3 +554,74 @@ class TestBatchedChainDifferential:
         assert summary["reconciled"], summary["failures"]
         assert summary["windows"] >= 5
         assert result.sent == 8001
+
+
+def _harness_latencies(spec, traffic, rate_per_flow, duration, warmup,
+                       batch, metering=False):
+    """One harness run at a benchmark shape: the result's latencies
+    (in sample order), counts and the path taken."""
+    from repro.billing.session import MeteringSession
+    from repro.core import build_deployment
+    from repro.traffic import TestbedHarness
+
+    d = build_deployment(spec, traffic, seed=3)
+    h = TestbedHarness(d, batch=batch)
+    h.configure_tenant_flows(rate_per_flow_pps=rate_per_flow)
+    session = None
+    if metering:
+        session = MeteringSession(d, h, interval=duration / 4)
+        session.arm(duration)
+    result = h.run(duration=duration, warmup=warmup)
+    if session is not None:
+        assert session.finish()["reconciled"]
+    return (result.latencies, result.sent, result.delivered,
+            result.path)
+
+
+class TestBenchmarkShapes:
+    """Bit-for-bit ``result.latencies`` against the oracle at the shapes
+    the repository benchmark runs (``perfbench/workload.py``)."""
+
+    def test_saturation_and_end_of_traffic_drain(self):
+        """MTS L2, 2 vswitch VMs, p2v, 4 x 200 kpps of 64 B frames: rx
+        rings overflow, and tail bursts cut short by the end of traffic
+        leave through the drain sweep."""
+        from repro.core import SecurityLevel, TrafficScenario
+        from repro.core.spec import DeploymentSpec
+
+        spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
+                              num_vswitch_vms=2)
+        args = (spec, TrafficScenario.P2V, 200_000.0, 0.02, 0.004)
+        oracle = _harness_latencies(*args, batch=False)
+        batched = _harness_latencies(*args, batch=True)
+        assert batched[3] == "batched"
+        assert oracle[2] < oracle[1]  # saturated: rings dropped frames
+        assert oracle[:3] == batched[:3]
+
+    def test_sweep_grid_with_metering(self):
+        """The sweep's level x traffic grid at 80 kpps, metered."""
+        from repro.core import ResourceMode, SecurityLevel, TrafficScenario
+        from repro.core.spec import DeploymentSpec
+
+        levels = (
+            DeploymentSpec(level=SecurityLevel.BASELINE),
+            DeploymentSpec(level=SecurityLevel.LEVEL_1),
+            DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2),
+            DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2,
+                           user_space=True,
+                           resource_mode=ResourceMode.ISOLATED),
+        )
+        for i, spec in enumerate(levels):
+            for traffic in (TrafficScenario.P2P, TrafficScenario.P2V,
+                            TrafficScenario.V2V):
+                if traffic is TrafficScenario.V2V and i % 2:
+                    continue
+                args = (spec, traffic, 80_000.0 / spec.num_tenants, 0.02,
+                        0.004)
+                oracle = _harness_latencies(*args, batch=False,
+                                            metering=True)
+                batched = _harness_latencies(*args, batch=True,
+                                             metering=True)
+                label = f"{spec.label}/{traffic.value}"
+                assert batched[3] == "batched", label
+                assert oracle[:3] == batched[:3], label

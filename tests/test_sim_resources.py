@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import FifoQueue, ServiceStation, Simulator
+from repro.sim.resources import BatchFairStation
 
 
 class TestFifoQueue:
@@ -107,6 +108,63 @@ class TestServiceStation:
         sim.schedule(1.0, station.submit, "b")
         sim.run()
         assert done == pytest.approx([0.1, 1.1])
+
+
+class _Group:
+    """Minimal batch-station group: one member, commits recorded."""
+
+    key = 0
+    margin = 0.0
+
+    def __init__(self, t, service):
+        self.sub_ts = [t]
+        self.svc = [service]
+        self.commits = []
+        self.flushed = []
+
+    def commit(self, i, t):
+        self.commits.append(t)
+        return True
+
+    def drop(self, i):
+        pass
+
+    def is_done(self):
+        return bool(self.commits)
+
+    def oldest_commit(self):
+        return self.commits[0] if self.commits else None
+
+    def flush(self, now):
+        self.flushed.append(now)
+
+
+class TestBatchFairStation:
+    def test_idle_wake_lands_exactly_on_the_arrival(self):
+        # Far enough ahead that now + (at - now) rounds past at.
+        now, at = 0.00017300740157905092, 0.0012954772801337612
+        assert now + (at - now) > at
+        sim = Simulator()
+        sim.run(until=now)
+        station = BatchFairStation(sim)
+        group = _Group(at, 1e-6)
+        station.submit_group(group)
+        sim.run()
+        assert group.commits == [at + 1e-6]
+
+    def test_oldest_unflushed_tracks_held_commits(self):
+        sim = Simulator()
+        station = BatchFairStation(sim)
+        assert station.oldest_unflushed() is None
+        first, second = _Group(1e-6, 1e-6), _Group(1.5e-6, 1e-6)
+        first.margin = second.margin = float("inf")  # hold until done
+        first.is_done = second.is_done = lambda: False
+        station.submit_group(first)
+        station.submit_group(second)
+        sim.run()
+        assert station.oldest_unflushed() == first.commits[0] == 2e-6
+        station.drain()
+        assert station.oldest_unflushed() is None
 
 
 class TestRngStreams:
