@@ -171,12 +171,13 @@ class LoadGenerator:
         order, so ids (and everything keyed by them -- jitter draws,
         latency pairing) are identical to the per-frame path.  The link
         then busy-chains all members in merged timestamp order via
-        :meth:`~repro.net.link.Link.send_interleaved`.
+        :meth:`~repro.net.link.Link.send_interleaved`, which breaks
+        timestamp ties by batch position: batches go in flow-index
+        order, the per-frame path's tie-break.
         """
         assert self._stop_at is not None
         schedule = self._schedule
         emitted = 0
-        order: List[int] = []
         per_flow: dict = {}
         while schedule and emitted < self.burst:
             t, i, flow = schedule[0]
@@ -187,14 +188,13 @@ class LoadGenerator:
             if data is None:
                 data = (flow, [], [])
                 per_flow[i] = data
-                order.append(i)
             data[1].append(next_frame_id())
             data[2].append(t)
             emitted += 1
             heapq.heapreplace(schedule, (t + 1.0 / flow.rate_pps, i, flow))
         if per_flow:
             batches = []
-            for i in order:
+            for i in sorted(per_flow):
                 flow, ids, ts = per_flow[i]
                 exemplar = Frame(
                     src_mac=flow.src_mac,

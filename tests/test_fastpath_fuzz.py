@@ -555,6 +555,30 @@ class TestBatchedChainDifferential:
         assert summary["windows"] >= 5
         assert result.sent == 8001
 
+    def test_tied_emission_times(self):
+        """Flows whose emission timestamps coincide (1 Mpps, 5 kpps and
+        50 kpps all emit at 250 us): both paths put tied frames on the
+        wire in flow-index order."""
+        from repro.core import SecurityLevel, TrafficScenario
+        from repro.core import build_deployment
+        from repro.core.spec import DeploymentSpec
+        from repro.traffic import TestbedHarness
+
+        def run(batch):
+            d = build_deployment(DeploymentSpec(level=SecurityLevel.LEVEL_1),
+                                 TrafficScenario.P2P, seed=95)
+            h = TestbedHarness(d, batch=batch)
+            for tenant, rate in enumerate((1e6, 5e3, 5e4, 2e5)):
+                h.add_tenant_flow(tenant, rate)
+            result = h.run(duration=0.008, warmup=0.0016)
+            return (result.path, result.sent, result.delivered,
+                    [(s.flow_id, s.t_in, s.t_out)
+                     for s in h.monitor.samples])
+
+        oracle, batched = run(False), run(True)
+        assert batched[0] == "batched"
+        assert oracle[1:] == batched[1:]
+
 
 def _harness_latencies(spec, traffic, rate_per_flow, duration, warmup,
                        batch, metering=False):
