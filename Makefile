@@ -1,9 +1,15 @@
 PYTHON ?= python
 
-.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
+.PHONY: test perfbench-test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# Tests of the repository benchmark itself (perfbench/), which the
+# tier-1 suite does not collect: among other things they check that
+# every simulator entry point perfbench/spans.py wraps by name exists.
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest -q perfbench/tests
 
 # Run the benchmark suite and fail if any benchmark regressed more
 # than 20% against the recorded baseline (BENCH_fastpath.json).

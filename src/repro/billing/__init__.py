@@ -15,8 +15,8 @@ accounting ground truth.
 Like ``obs``, the default is off: ``METER`` is a :class:`NullMeter`
 whose ``enabled`` is ``False``, so un-metered runs pay only a branch
 per tap site.  Heavy machinery (sessions, audits, reports) is imported
-lazily by :mod:`repro.billing.runtime` so this package stays safe to
-import from the dataplane modules.
+lazily by the run context (:mod:`repro.scenario.context`) so this
+package stays safe to import from the dataplane modules.
 """
 
 from __future__ import annotations

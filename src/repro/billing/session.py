@@ -1,8 +1,8 @@
 """One metered harness run: windows, attribution, fault charges, audit.
 
 A :class:`MeteringSession` is armed just before traffic starts (by
-:func:`repro.billing.runtime.attach_active_session`, or directly by a
-test).  It owns three instruments:
+:meth:`repro.scenario.context.RunContext.attach_metering`, or directly
+by a test).  It owns three instruments:
 
 - a :class:`~repro.billing.meter.TenantMeter` tap installed as the
   process-global ``billing.METER`` -- per-packet exact CPU, PCIe bytes
@@ -14,10 +14,10 @@ test).  It owns three instruments:
   truth the reconciliation auditor compares against.
 
 ``finish()`` closes the tail window, charges fault-recovery work to
-the tenants of crashed compartments (composing with an active
+the tenants of crashed compartments (composing with the run's
 :class:`~repro.faults.session.ChaosSession`), audits conservation, and
-publishes the usage records plus a summary through the billing runtime
-so scenario results carry them.
+publishes the usage records plus a summary to the run context so
+scenario results carry them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.billing import attribution
 from repro.billing.audit import reconcile
 from repro.billing.meter import TenantMeter, UsageRecord
 from repro.core.accounting import NetworkingMeter
+from repro.scenario import context
 
 
 class MeteringSession:
@@ -108,8 +109,8 @@ class MeteringSession:
                 str(t): s for t, s in sorted(report.tenant_cpu_skew.items())
             },
         }
-        from repro.billing import runtime as _runtime
-        _runtime.publish([rec.to_dict() for rec in self.records] + [summary])
+        context.publish(usage=[rec.to_dict() for rec in self.records]
+                        + [summary])
         self._summary = summary
         return summary
 

@@ -464,14 +464,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"{len(results)} campaigns ({cached} cached): "
           f"{repaired:.0f} repairs, {violations:.0f} invariant violations")
     if args.events_out:
-        count = 0
-        with open(args.events_out, "w") as handle:
-            for spec, result in zip(specs, results):
-                for event in result.events:
-                    handle.write(json.dumps(
-                        {"label": spec.display_label, **event},
-                        sort_keys=True, separators=(",", ":")) + "\n")
-                    count += 1
+        from repro.obs.journal import write_jsonl
+        count = write_jsonl(({"label": spec.display_label, **event}
+                             for spec, result in zip(specs, results)
+                             for event in result.events), args.events_out)
         print(f"wrote {count} events to {args.events_out}")
     if args.check and (repaired == 0 or violations > 0):
         print(f"chaos check FAILED: {repaired:.0f} repairs, "
@@ -717,11 +713,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"and {v.get('scale_ups', 0.0):.0f} boots")
 
     if args.events_out:
-        with open(args.events_out, "w") as handle:
-            for event in result.events:
-                handle.write(json.dumps(event, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-        print(f"wrote {len(result.events)} events to {args.events_out}")
+        from repro.obs.journal import write_jsonl
+        count = write_jsonl(result.events, args.events_out)
+        print(f"wrote {count} events to {args.events_out}")
 
     if args.check:
         problems = []

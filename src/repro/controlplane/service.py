@@ -42,6 +42,7 @@ from repro.controlplane.plan import ChurnPlan, CrashSpec
 from repro.fabric.placement import (
     Placement, PlacementError, incremental_place, validate_placement)
 from repro.fabric.topology import FabricTopology
+from repro.obs.journal import Journal
 from repro.sim import Simulator
 from repro.sim.rng import RngStreams
 
@@ -88,7 +89,7 @@ class ControlPlane:
             self._pool_view, plan.tenants_per_compartment)
         self.autoscaler = PoolAutoscaler(
             plan.autoscale, max_pool_limit=plan.total_slots)
-        self.events: List[dict] = []
+        self.log = Journal("controlplane", self.sim)
         self.violations: List[str] = []
         # SLO accumulators (sum/count pairs for the values dict).
         self._admission_lat = [0.0, 0]
@@ -140,11 +141,6 @@ class ControlPlane:
 
     # -- logging / accrual ------------------------------------------------
 
-    def _log(self, kind: str, **kw) -> None:
-        event = {"t": round(self.sim.now, 9), "kind": kind}
-        event.update(kw)
-        self.events.append(event)
-
     def _healthy(self, slot: Optional[Slot]) -> bool:
         return slot is not None and slot not in self.crashed
 
@@ -157,7 +153,7 @@ class ControlPlane:
         _counter("controlplane_invariant_violations_total",
                  "Lifecycle invariant violations detected by the audit",
                  ).inc()
-        self._log("violation", message=message)
+        self.log.record("violation", message=message)
 
     # -- seats ------------------------------------------------------------
 
@@ -214,8 +210,9 @@ class ControlPlane:
         self.counts["arrivals"] += 1
         _counter("controlplane_arrivals_total",
                  "Tenant arrival requests").inc()
-        self._log("arrival", tenant=tid, group=group,
-                  isolation=req.isolation, demand_pps=round(demand, 3))
+        self.log.record("arrival", tenant=tid, group=group,
+                        isolation=req.isolation,
+                        demand_pps=round(demand, 3))
         ok, reason = self.admission.try_admit(req, now)
         if not ok:
             rec.advance(TenantState.EVICTED, now, f"shed:{reason}")
@@ -223,7 +220,7 @@ class ControlPlane:
             _counter("controlplane_rejections_total",
                      "Arrivals shed by admission control",
                      labels=("reason",)).labels(reason=reason).inc()
-            self._log("reject", tenant=tid, reason=reason)
+            self.log.record("reject", tenant=tid, reason=reason)
         else:
             rec.advance(TenantState.ADMITTED, now, "lease-granted")
             self.sim.call_later(self.plan.admission.admit_latency,
@@ -298,9 +295,9 @@ class ControlPlane:
         obs.REGISTRY.histogram(
             "controlplane_admission_latency_seconds",
             "Request-to-active latency").observe(latency)
-        self._log("activate", tenant=tid,
-                  slot=f"{rec.slot[0]}:{rec.slot[1]}",
-                  latency=round(latency, 9))
+        self.log.record("activate", tenant=tid,
+                        slot=f"{rec.slot[0]}:{rec.slot[1]}",
+                        latency=round(latency, 9))
         if not rec.departure_scheduled:
             rec.departure_scheduled = True
             self.sim.call_later(rec.lifetime, self._depart, tid)
@@ -312,7 +309,7 @@ class ControlPlane:
         _counter("controlplane_evictions_total",
                  "Tenants evicted (retries exhausted, no healthy slot)",
                  labels=("reason",)).labels(reason=reason).inc()
-        self._log("evict", tenant=tid, reason=reason)
+        self.log.record("evict", tenant=tid, reason=reason)
 
     # -- departures -------------------------------------------------------
 
@@ -340,7 +337,7 @@ class ControlPlane:
         self.counts["departures"] += 1
         _counter("controlplane_departures_total",
                  "Tenants that departed gracefully").inc()
-        self._log("terminate", tenant=tid)
+        self.log.record("terminate", tenant=tid)
 
     # -- crashes / watchdog -----------------------------------------------
 
@@ -360,7 +357,7 @@ class ControlPlane:
         slot = self._resolve_crash_target(spec.target)
         if slot is None:
             self.counts["crashes_skipped"] += 1
-            self._log("crash-skipped", target=spec.target)
+            self.log.record("crash-skipped", target=spec.target)
             return
         self._crash(slot, spec.repair_after)
 
@@ -372,8 +369,8 @@ class ControlPlane:
         self.counts["crashes"] += 1
         _counter("controlplane_crashes_total",
                  "Compartment crashes injected").inc()
-        self._log("crash", slot=f"{slot[0]}:{slot[1]}",
-                  residents=len(self.occupants.get(slot, [])))
+        self.log.record("crash", slot=f"{slot[0]}:{slot[1]}",
+                        residents=len(self.occupants.get(slot, [])))
         if repair_after is not None:
             self.sim.call_later(repair_after, self._repair, slot)
 
@@ -406,7 +403,7 @@ class ControlPlane:
         self.counts["repairs"] += 1
         _counter("controlplane_repairs_total",
                  "Compartments repaired (scripted or stochastic)").inc()
-        self._log("repair", slot=f"{slot[0]}:{slot[1]}")
+        self.log.record("repair", slot=f"{slot[0]}:{slot[1]}")
         # Residents the watchdog degraded but migration had not yet
         # rescued come straight back.
         for tid in sorted(self.occupants.get(slot, [])):
@@ -429,8 +426,8 @@ class ControlPlane:
             obs.REGISTRY.histogram(
                 "controlplane_detect_latency_seconds",
                 "Crash-to-detection latency").observe(latency)
-            self._log("detect", slot=f"{slot[0]}:{slot[1]}",
-                      latency=round(latency, 9))
+            self.log.record("detect", slot=f"{slot[0]}:{slot[1]}",
+                            latency=round(latency, 9))
             if self.occupants.get(slot):
                 self._boot_replacement(slot)
             for tid in sorted(self.occupants.get(slot, [])):
@@ -467,8 +464,9 @@ class ControlPlane:
         for tid in residents:
             self.records[tid].recovery_seconds += share
             self.recovery_seconds_total += share
-        self._log("failover-boot", slot=f"{replacement[0]}:{replacement[1]}",
-                  crashed=f"{crashed_slot[0]}:{crashed_slot[1]}")
+        self.log.record("failover-boot",
+                        slot=f"{replacement[0]}:{replacement[1]}",
+                        crashed=f"{crashed_slot[0]}:{crashed_slot[1]}")
 
     # -- migration --------------------------------------------------------
 
@@ -514,9 +512,9 @@ class ControlPlane:
         resync = self.plan.migration_resync_seconds()
         rec.recovery_seconds += resync
         self.recovery_seconds_total += resync
-        self._log("migrate", tenant=tid, reason=reason,
-                  src=f"{src[0]}:{src[1]}" if src else "none",
-                  dst=f"{seat[tid][0]}:{seat[tid][1]}")
+        self.log.record("migrate", tenant=tid, reason=reason,
+                        src=f"{src[0]}:{src[1]}" if src else "none",
+                        dst=f"{seat[tid][0]}:{seat[tid][1]}")
         self.sim.call_later(self.plan.migration_downtime(),
                             self._complete_migration, tid, rec.epoch)
 
@@ -546,9 +544,9 @@ class ControlPlane:
         self.counts["migrations_completed"] += 1
         _counter("controlplane_migrations_completed_total",
                  "Live migrations that completed").inc()
-        self._log("migrated", tenant=tid,
-                  slot=f"{rec.slot[0]}:{rec.slot[1]}",
-                  downtime=round(downtime, 9))
+        self.log.record("migrated", tenant=tid,
+                        slot=f"{rec.slot[0]}:{rec.slot[1]}",
+                        downtime=round(downtime, 9))
 
     # -- autoscaler -------------------------------------------------------
 
@@ -618,8 +616,8 @@ class ControlPlane:
                          ).labels(direction="up").inc()
                 self._charge_autoscale(
                     self.plan.autoscale.boot_resync_seconds)
-                self._log("scale-up", slot=f"{slot[0]}:{slot[1]}",
-                          utilization=round(decision.utilization, 6))
+                self.log.record("scale-up", slot=f"{slot[0]}:{slot[1]}",
+                                utilization=round(decision.utilization, 6))
         elif decision.delta < 0:
             for _ in range(-decision.delta):
                 self._scale_down_one(decision.utilization)
@@ -642,8 +640,8 @@ class ControlPlane:
             _counter("controlplane_scale_events_total",
                      "Autoscaler pool changes", labels=("direction",)
                      ).labels(direction="down").inc()
-            self._log("scale-down", slot=f"{slot[0]}:{slot[1]}",
-                      utilization=round(utilization, 6))
+            self.log.record("scale-down", slot=f"{slot[0]}:{slot[1]}",
+                            utilization=round(utilization, 6))
             return
         # Drain-and-close: only if every resident has a feasible seat
         # elsewhere right now (a scale-down must never evict).
@@ -661,8 +659,8 @@ class ControlPlane:
         except PlacementError:
             return
         self.closing.add(slot)
-        self._log("closing", slot=f"{slot[0]}:{slot[1]}",
-                  residents=len(residents))
+        self.log.record("closing", slot=f"{slot[0]}:{slot[1]}",
+                        residents=len(residents))
         for tid in sorted(movable):
             self._start_migration(tid, "scale-down")
 
@@ -674,7 +672,7 @@ class ControlPlane:
         _counter("controlplane_scale_events_total",
                  "Autoscaler pool changes", labels=("direction",)
                  ).labels(direction="down").inc()
-        self._log("scale-down", slot=f"{slot[0]}:{slot[1]}")
+        self.log.record("scale-down", slot=f"{slot[0]}:{slot[1]}")
 
     # -- audit ------------------------------------------------------------
 

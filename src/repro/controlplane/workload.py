@@ -15,13 +15,14 @@ comes off a named RNG stream, so the sequential and process-pool
 backends produce byte-identical values for the same spec -- the
 engine's cacheability contract, checked by the tier-1 suite.
 
-When the engine activated a metering context (``("metering", True)``),
-the workload publishes one synthetic :class:`UsageRecord` per tenant
-that ever held a seat: delivered traffic as IO bytes, modeled vswitch
-CPU from the autoscaler's capacity constant, and -- the point of the
-exercise -- migration/autoscale re-sync charged as ``fault_seconds``
-under the crashed or overloaded compartment's policy, so ``repro
-billing`` prices recovery exactly like the chaos layer does.
+The service's lifecycle journal becomes the result's events.  When the
+spec asks for metering (``("metering", True)``), the workload also
+publishes one synthetic :class:`UsageRecord` per tenant that ever held
+a seat: delivered traffic as IO bytes, modeled vswitch CPU from the
+autoscaler's capacity constant, and -- the point of the exercise --
+migration/autoscale re-sync charged as ``fault_seconds`` under the
+crashed or overloaded compartment's policy, so ``repro billing``
+prices recovery exactly like the chaos layer does.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.controlplane.service import ControlPlane
 from repro.core.spec import DeploymentSpec, TrafficScenario
 from repro.core.levels import ResourceMode, SecurityLevel
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.scenario import context
 from repro.scenario.spec import ScenarioSpec
 
 WORKLOAD = "controlplane.churn"
@@ -143,16 +145,11 @@ def measure_scenario(spec: ScenarioSpec,
                      calibration: Calibration = DEFAULT_CALIBRATION
                      ) -> Dict[str, float]:
     """Engine entry point: run the churn campaign, publish the
-    lifecycle event log (chaos channel) and usage (billing channel)."""
-    from repro.billing import runtime as billing_runtime
-    from repro.faults import runtime as faults_runtime
-
+    lifecycle journal and, when metered, the usage records."""
     plan = plan_from_spec(spec)
-    faults_runtime.claim()  # the service is its own chaos session
     service = ControlPlane(plan, seed=spec.seed)
     values = service.run()
-    faults_runtime.publish(service.events)
-    if billing_runtime.metering_requested():
-        billing_runtime.claim()
-        billing_runtime.publish(_usage_from_service(plan, service))
+    context.publish(events=service.log.events,
+                    usage=(_usage_from_service(plan, service)
+                           if spec.param("metering", False) else ()))
     return values

@@ -7,14 +7,15 @@ only its own tenants.  This experiment crashes one vswitch mid-run,
 restores it, and reports per-tenant availability over the outage
 window.
 
-The crash rides the declarative chaos layer: the default plan is a
-scripted ``vswitch-crash`` at ``phase`` clearing at ``2*phase`` --
-exactly the crash the pre-chaos version hard-coded, so the legacy
-table is byte-identical -- but the measurement windows now come from
-the session's *observed* outage (injection and repair timestamps), and
-the watchdog's measured detection latency is reported alongside.
-Passing a different plan via the spec's ``faults`` field reuses the
-same accounting for arbitrary campaigns.
+The crash rides the chaos layer's run routine
+(:func:`repro.faults.campaign.run_plan`, shared with ``ext.chaos``):
+the default plan is a scripted ``vswitch-crash`` at ``phase`` clearing
+at ``2*phase`` -- exactly the crash the pre-chaos version hard-coded,
+so the legacy table is byte-identical -- but the measurement windows
+come from the session's *observed* outage (injection and repair
+timestamps), and the watchdog's measured detection latency is reported
+alongside.  Passing a different plan via the spec's ``faults`` field
+reuses the same accounting for arbitrary campaigns.
 """
 
 from __future__ import annotations
@@ -22,18 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.core.deployment import build_deployment
-from repro.core.levels import ResourceMode, SecurityLevel
 from repro.core.spec import DeploymentSpec, TrafficScenario
+from repro.faults.campaign import RATE_PER_TENANT, configurations, run_plan
 from repro.faults.plan import scripted_crash
-from repro.faults.session import ChaosSession
 from repro.measure.reporting import Series, Table
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.scenario.spec import ScenarioResult, ScenarioSpec
-from repro.traffic.harness import TestbedHarness
-from repro.units import KPPS
-
-RATE_PER_TENANT = 5 * KPPS
 
 WORKLOAD = "ext.fault-isolation"
 
@@ -59,27 +54,13 @@ def measure_scenario(spec: ScenarioSpec,
     """Engine entry point: three equal phases -- healthy, crashed,
     recovered -- with per-tenant delivery fractions for the last two
     (``during:t<N>`` / ``after:t<N>`` keys)."""
-    from repro.faults import runtime
-
     phase = spec.duration / 3.0
-    crash_index = int(spec.param("crash_index", 0))
-    claimed_plan, _ = runtime.claim()  # chaos-aware: no harness hook
-    plan = spec.faults or claimed_plan
-    if plan is None or not plan.faults:
-        # The legacy hard-coded fault: crash at phase, repair at
-        # 2*phase (scripted, so the supervisor stays out of the way).
-        plan = scripted_crash(compartment=crash_index, at=phase,
-                              duration=phase)
-
-    deployment = build_deployment(spec.deployment, spec.traffic,
-                                  seed=spec.seed, calibration=calibration)
-    harness = TestbedHarness(deployment)
-    harness.configure_tenant_flows(rate_per_flow_pps=RATE_PER_TENANT)
-
-    session = ChaosSession(deployment, harness, plan, seed=spec.seed)
-    session.arm(3 * phase)
-    harness.run(duration=3 * phase, warmup=0.0)
-    summary = session.finish()
+    # The legacy hard-coded fault: crash at phase, repair at 2*phase
+    # (scripted, so the supervisor stays out of the way).
+    plan = scripted_crash(compartment=int(spec.param("crash_index", 0)),
+                          at=phase, duration=phase)
+    harness, session, summary = run_plan(spec, plan, RATE_PER_TENANT,
+                                         calibration)
 
     num_tenants = spec.deployment.num_tenants
 
@@ -123,19 +104,6 @@ def measure(spec: DeploymentSpec, crash_index: int = 0,
         after_recovery={t: values[f"after:t{t}"]
                         for t in range(spec.num_tenants)},
     )
-
-
-def configurations() -> List[DeploymentSpec]:
-    return [
-        DeploymentSpec(level=SecurityLevel.BASELINE,
-                       resource_mode=ResourceMode.SHARED),
-        DeploymentSpec(level=SecurityLevel.LEVEL_1,
-                       resource_mode=ResourceMode.SHARED),
-        DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2,
-                       resource_mode=ResourceMode.SHARED),
-        DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=4,
-                       resource_mode=ResourceMode.ISOLATED),
-    ]
 
 
 def scenarios(phase: float = 0.05, seed: int = 0) -> List[ScenarioSpec]:

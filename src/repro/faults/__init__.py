@@ -10,25 +10,24 @@ sim-kernel events, a :class:`~repro.faults.watchdog.Watchdog` measures
 detection latency, and a :class:`~repro.faults.supervisor.Supervisor`
 restarts or fails over the victim under an explicit policy -- all
 stitched together by a :class:`~repro.faults.session.ChaosSession`.
+A spec's plan reaches the harness through the run context
+(:mod:`repro.scenario.context`), and the session's transitions come
+back as :mod:`repro.obs.journal` events.
 
-Only the declarative layer is imported eagerly; the runtime pieces
-(session, injector, campaign) pull in the deployment stack and are
-imported on first use.
+Only the declarative layer is imported eagerly; the session, injector
+and campaign pull in the deployment stack and are imported on first
+use.
 """
 
-from repro.faults.log import ChaosLog, FaultEvent, PHASES
 from repro.faults.plan import (FaultKind, FaultPlan, FaultSpec,
                                OUTAGE_KINDS, RestartPolicySpec,
                                scripted_crash)
 
 __all__ = [
-    "ChaosLog",
-    "FaultEvent",
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
     "OUTAGE_KINDS",
-    "PHASES",
     "RestartPolicySpec",
     "scripted_crash",
 ]

@@ -7,10 +7,10 @@ back, while a Level-2 compartment crash takes down only the crashed
 compartment's tenants -- and with warm standby the outage shrinks to
 detection + failover.
 
-The workload is chaos-aware: it claims the engine's chaos context (so
-the harness hook does not arm a second session) and manages its own
+The workload is chaos-aware: :func:`run_plan` arms its own
 :class:`~repro.faults.session.ChaosSession`, which lets it report
 outage-window availability per tenant on top of the session's summary.
+``ext.fault-isolation`` runs through the same routine.
 """
 
 from __future__ import annotations
@@ -56,31 +56,42 @@ def _merge_windows(windows: Sequence[Tuple[float, float]]
     return merged
 
 
+def run_plan(spec: ScenarioSpec, default_plan: FaultPlan, rate: float,
+             calibration: Calibration = DEFAULT_CALIBRATION
+             ) -> Tuple[TestbedHarness, ChaosSession, Dict[str, float]]:
+    """Run the spec's fault plan -- ``default_plan`` when the spec has
+    none -- against its deployment, with every tenant offered ``rate``
+    pps for the whole window.
+
+    The session is armed before the run, which registers it on the run
+    context: the harness hook attaches no second session, and a metered
+    run charges this session's recoveries.  Returns the harness, the
+    finished session and its summary."""
+    plan = spec.faults
+    if plan is None or not plan.faults:
+        plan = default_plan
+    deployment = build_deployment(spec.deployment, spec.traffic,
+                                  seed=spec.seed, calibration=calibration)
+    harness = TestbedHarness(deployment)
+    harness.configure_tenant_flows(rate_per_flow_pps=rate)
+    session = ChaosSession(deployment, harness, plan, seed=spec.seed)
+    session.arm(spec.duration)
+    harness.run(duration=spec.duration, warmup=0.0)
+    return harness, session, session.finish()
+
+
 def measure_scenario(spec: ScenarioSpec,
                      calibration: Calibration = DEFAULT_CALIBRATION
                      ) -> Dict[str, float]:
     """Engine entry point: run the spec's fault plan (or the default
     single-crash campaign) and report availability, blast radius and
     the session's inject/detect/recover accounting."""
-    from repro.faults import runtime
-
-    claimed_plan, _ = runtime.claim()  # keep the harness hook away
-    plan = spec.faults or claimed_plan
-    if plan is None or not plan.faults:
-        plan = default_plan(spec.duration,
-                            crash_index=int(spec.param("crash_index", 0)),
-                            warm_standby=bool(spec.param("warm_standby", 0)))
-
-    deployment = build_deployment(spec.deployment, spec.traffic,
-                                  seed=spec.seed, calibration=calibration)
-    harness = TestbedHarness(deployment)
     rate = float(spec.param("rate_pps", RATE_PER_TENANT))
-    harness.configure_tenant_flows(rate_per_flow_pps=rate)
-
-    session = ChaosSession(deployment, harness, plan, seed=spec.seed)
-    session.arm(spec.duration)
-    harness.run(duration=spec.duration, warmup=0.0)
-    summary = session.finish()
+    harness, session, summary = run_plan(
+        spec, default_plan(spec.duration,
+                           crash_index=int(spec.param("crash_index", 0)),
+                           warm_standby=bool(spec.param("warm_standby", 0))),
+        rate, calibration)
 
     num_tenants = spec.deployment.num_tenants
     windows = _merge_windows(session.outage_windows())

@@ -9,9 +9,11 @@ The session is the stateful hub the stateless pieces hang off:
 - the :class:`~repro.faults.supervisor.Supervisor` plans recoveries and
   completes them (``on_recovered`` / ``on_give_up``).
 
-Every transition lands in the session's :class:`ChaosLog` and in the
-obs registry (inject/detect/recover counters, detection-latency and
-downtime histograms, per-tenant delivered-fraction gauges), and
+Every transition lands in the session's
+:class:`~repro.obs.journal.Journal` (``layer`` "faults", the phase as
+``kind``, the fault kind as ``fault``) and in the obs registry
+(inject/detect/recover counters, detection-latency and downtime
+histograms, per-tenant delivered-fraction gauges), and
 :meth:`finish` closes the books: packet conservation
 (``offered == delivered + fault drops + component drops``), the
 no-forwarding-while-crashed invariant (a crashed bridge's pass counter
@@ -26,11 +28,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.faults.injector import Injector
-from repro.faults.log import ChaosLog
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.supervisor import Supervisor
 from repro.faults.watchdog import Watchdog
 from repro.obs.integrate import drop_totals
+from repro.obs.journal import Journal
+from repro.scenario import context
 from repro.sim.rng import RngStreams
 
 
@@ -73,7 +76,7 @@ class ChaosSession:
         self.plan = plan
         self.sim = deployment.sim
         self.streams = RngStreams(seed)
-        self.log = ChaosLog()
+        self.log = Journal("faults", self.sim)
         self.states: Dict[str, TargetState] = {}
         #: target -> frames swallowed by an injected condition (VF dead
         #: rings, dark links, loss bursts); bridge blackhole drops are
@@ -120,8 +123,11 @@ class ChaosSession:
         """Snapshot baselines, schedule the plan, start the watchdog.
 
         Marks the deployment for the per-frame oracle until
-        :meth:`finish` (see ``Deployment.hold_oracle``)."""
+        :meth:`finish` (see ``Deployment.hold_oracle``), and registers
+        the session on the run context, so the harness attaches no
+        second one and a metered run charges this one's recoveries."""
         self.deployment.hold_oracle("chaos")
+        context.register_chaos(self)
         self._horizon = horizon
         self._armed_at = self.sim.now
         self._drops_base = drop_totals(self.deployment)
@@ -140,6 +146,11 @@ class ChaosSession:
             state = TargetState(fault.target, fault)
             self.states[fault.target] = state
         return state
+
+    def _record(self, phase: str, fault: FaultSpec, target: str,
+                attempt: int = 0, **detail: float) -> None:
+        self.log.record(phase, fault=fault.kind.value, target=target,
+                        attempt=attempt, **detail)
 
     def count_fault_drop(self, target: str) -> None:
         self.fault_drops[target] = self.fault_drops.get(target, 0) + 1
@@ -183,14 +194,12 @@ class ChaosSession:
                 "injected_at": now, "detected_at": None,
                 "recovered_at": None, "mode": None, "attempt": 0,
             })
-        self.log.record(now, "inject", fault.kind.value, fault.target,
-                        detail=detail)
+        self._record("inject", fault, fault.target, **(detail or {}))
 
     def on_cleared(self, fault: FaultSpec) -> None:
         """A degradation burst or controller partition ended."""
-        self.log.record(
-            self.sim.now, "clear", fault.kind.value, fault.target,
-            detail={"drops": float(self.fault_drops.get(fault.target, 0))})
+        self._record("clear", fault, fault.target,
+                     drops=float(self.fault_drops.get(fault.target, 0)))
 
     def on_noop(self, op: str) -> None:
         self._noop_counter().labels(op=op).inc()
@@ -206,9 +215,8 @@ class ChaosSession:
             "fault_detection_latency_seconds",
             "inject -> watchdog detection").observe(latency)
         self._open_outage(state.name)["detected_at"] = now
-        self.log.record(now, "detect", fault.kind.value, state.name,
-                        attempt=state.attempts,
-                        detail={"latency": latency})
+        self._record("detect", fault, state.name, attempt=state.attempts,
+                     latency=latency)
         if fault.self_heal:
             self.supervisor.on_detect(state)
 
@@ -221,17 +229,15 @@ class ChaosSession:
     def on_give_up(self, state: TargetState) -> None:
         obs.REGISTRY.counter("fault_giveups_total",
                              "targets abandoned (budget spent)").inc()
-        self.log.record(self.sim.now, "give-up", state.spec.kind.value,
-                        state.name, attempt=state.attempts)
+        self._record("give-up", state.spec, state.name,
+                     attempt=state.attempts)
 
     def on_circuit_open(self, state: TargetState) -> None:
         obs.REGISTRY.counter("fault_circuit_open_total",
                              "circuit breakers opened").inc()
-        self.log.record(self.sim.now, "circuit-open",
-                        state.spec.kind.value, state.name,
-                        attempt=state.attempts,
-                        detail={"quick_failures":
-                                float(state.quick_failures)})
+        self._record("circuit-open", state.spec, state.name,
+                     attempt=state.attempts,
+                     quick_failures=float(state.quick_failures))
 
     def on_recovered(self, state: TargetState, mode: str,
                      attempt: int) -> None:
@@ -268,8 +274,8 @@ class ChaosSession:
         self._recoveries_counter().labels(mode=mode).inc()
         obs.REGISTRY.histogram("fault_downtime_seconds",
                                "inject -> recovery").observe(downtime)
-        self.log.record(now, phase, state.spec.kind.value, state.name,
-                        attempt=attempt, detail=detail)
+        self._record(phase, state.spec, state.name, attempt=attempt,
+                     **detail)
 
     def _open_outage(self, target: str) -> dict:
         for outage in reversed(self.outages):
@@ -310,8 +316,8 @@ class ChaosSession:
 
     def finish(self) -> Dict[str, float]:
         """Close the books: conservation, invariants, per-tenant gauges.
-        Publishes the event log to the engine's chaos context and
-        returns a flat summary (idempotent)."""
+        Publishes the journal's events to the run context and returns a
+        flat summary (idempotent)."""
         if self._finished is not None:
             return self._finished
         self.deployment.release_oracle("chaos")
@@ -350,25 +356,23 @@ class ChaosSession:
                       else flow.flow_id)
             gauge.labels(tenant=tenant).set(frac)
 
-        detects = self.log.by_phase("detect")
-        repairs = [e for e in self.log.events
-                   if e.phase in ("recover", "clear")
-                   and "downtime" in e.detail]
-        recovers = self.log.by_phase("recover")
+        detects = self.log.of_kind("detect")
+        repairs = [e for e in self.log.of_kind("recover", "clear")
+                   if "downtime" in e]
         summary: Dict[str, float] = {
-            "injected": float(len(self.log.by_phase("inject"))),
+            "injected": float(len(self.log.of_kind("inject"))),
             "detected": float(len(detects)),
-            "recovered": float(len(recovers)),
+            "recovered": float(len(self.log.of_kind("recover"))),
             "repaired": float(len(repairs)),
-            "giveups": float(len(self.log.by_phase("give-up"))),
+            "giveups": float(len(self.log.of_kind("give-up"))),
             "restart_attempts": float(sum(s.attempts
                                           for s in self.states.values())),
             "detect_latency": (
-                sum(e.detail["latency"] for e in detects) / len(detects)
+                sum(e["latency"] for e in detects) / len(detects)
                 if detects else 0.0),
-            "mttr": (sum(e.detail["downtime"] for e in repairs)
+            "mttr": (sum(e["downtime"] for e in repairs)
                      / len(repairs) if repairs else 0.0),
-            "downtime_total": sum(e.detail["downtime"] for e in repairs),
+            "downtime_total": sum(e["downtime"] for e in repairs),
             "offered": float(offered),
             "delivered": float(delivered),
             "fault_drops": float(fault_drops),
@@ -376,7 +380,6 @@ class ChaosSession:
             "unaccounted": float(unaccounted),
             "violations": float(len(self.violations)),
         }
-        from repro.faults import runtime
-        runtime.publish(self.log.to_dicts())
+        context.publish(events=self.log.events)
         self._finished = summary
         return summary

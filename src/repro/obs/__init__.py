@@ -1,11 +1,14 @@
 """Unified telemetry: sim-time metrics registry + per-hop packet tracing.
 
-The observability layer has three moving parts:
+The observability layer has four moving parts:
 
 - :mod:`repro.obs.metrics` -- named counters/gauges/histograms with
   labels, recorded against *simulated* time;
 - :mod:`repro.obs.trace` -- the packet tracer: one span per hop through
   the mediation chain, reconstructable into per-packet journeys;
+- :mod:`repro.obs.journal` -- the event journal: one flat
+  ``{"t", "layer", "kind", ...}`` record per fault or lifecycle
+  transition, and its JSON-lines exporter;
 - :mod:`repro.obs.export` -- JSON-lines span dumps, Prometheus text
   snapshots, and paper-style summary tables.
 

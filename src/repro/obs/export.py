@@ -14,10 +14,10 @@ Three consumers, three formats:
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.measure.reporting import Series, Table
+from repro.obs.journal import write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import PacketTracer, Span
 from repro.units import USEC
@@ -40,15 +40,8 @@ def write_prometheus(registry: MetricsRegistry, path: str) -> None:
 
 
 def _write_dicts_jsonl(items, path: str) -> int:
-    count = 0
-    with open(path, "w") as handle:
-        for item in items:
-            record = item.to_dict() if hasattr(item, "to_dict") else item
-            handle.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
-            handle.write("\n")
-            count += 1
-    return count
+    return write_jsonl((item.to_dict() if hasattr(item, "to_dict") else item
+                        for item in items), path)
 
 
 def write_usage_jsonl(records, path: str) -> int:

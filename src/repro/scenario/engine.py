@@ -46,10 +46,9 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.billing import runtime as billing_runtime
 from repro.errors import ScenarioTimeoutError, ValidationError
-from repro.faults import runtime as faults_runtime
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.scenario import context
 from repro.scenario.registry import resolve
 from repro.scenario.spec import (
     ScenarioResult,
@@ -113,19 +112,15 @@ def run_scenario(spec: ScenarioSpec,
     fn = resolve(spec.workload)
     before = obs.REGISTRY.snapshot()
     start = time.perf_counter()
-    ctx = faults_runtime.activate(spec.faults, spec.seed)
-    bctx = billing_runtime.activate(
-        bool(spec.param("metering", False)),
-        interval=float(spec.param("metering_interval", 0.0) or 0.0),
-        seed=spec.seed,
-    )
+    ctx = context.activate(
+        spec.faults, spec.seed,
+        metering=spec.param("metering", False),
+        metering_interval=float(spec.param("metering_interval", 0.0)))
     try:
         values = fn(spec, calibration)
-        events = faults_runtime.drain()
-        usage = billing_runtime.drain()
+        events, usage = ctx.drain()
     finally:
-        faults_runtime.deactivate(ctx)
-        billing_runtime.deactivate(bctx)
+        context.deactivate(ctx)
     elapsed = time.perf_counter() - start
     after = obs.REGISTRY.snapshot()
     metrics = {}

@@ -27,6 +27,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -140,6 +141,17 @@ class ScenarioSpec:
             raise ValueError(
                 f"need 0 <= warmup < duration, got warmup={self.warmup} "
                 f"and duration={self.duration}")
+        metering = self.param("metering", False)
+        if not isinstance(metering, bool):
+            raise ValidationError(
+                f"metering must be a bool, got {metering!r}")
+        interval = self.param("metering_interval", 0.0)
+        if (isinstance(interval, bool)
+                or not isinstance(interval, (int, float))
+                or not math.isfinite(interval) or interval < 0):
+            raise ValidationError(
+                f"metering_interval must be a finite number >= 0, "
+                f"got {interval!r}")
 
     # -- accessors --------------------------------------------------------
 
@@ -241,9 +253,11 @@ class ScenarioResult:
     cached: bool = False
     #: Wall-clock seconds the measurement took.  Not part of the hash.
     elapsed: float = 0.0
-    #: Chaos event log (inject/detect/recover dicts) when the spec
-    #: carried a fault plan; empty otherwise.  Deterministic given the
-    #: spec, but kept out of the result hash like the other provenance.
+    #: Journal events the run published (:mod:`repro.obs.journal`:
+    #: ``{"t", "layer", "kind", ...}`` dicts) -- a chaos session's fault
+    #: transitions, a churn run's lifecycle; empty otherwise.
+    #: Deterministic given the spec, but kept out of the result hash
+    #: like the other provenance.
     events: list = field(default_factory=list)
     #: Windowed usage records + billing summary dicts when the spec
     #: asked for metering (``("metering", True)`` param); empty

@@ -179,11 +179,13 @@ class TestbedHarness:
                 f"duration={duration}")
         offered = self.lg.aggregate_rate_pps
         self.deployment.set_offered_rate_hint(offered)
-        # A fault plan on the running scenario's spec attaches here, so
-        # any harness-based workload is chaos-capable without changes.
+        # The running scenario's fault plan attaches here, so any
+        # harness-based workload is chaos-capable without changes.
         # Arming it marks the deployment, so it comes before the path.
-        from repro.faults import runtime as _chaos
-        chaos_session = _chaos.attach_active_session(self, horizon=duration)
+        from repro.scenario import context
+        ctx = context.active()
+        chaos_session = (ctx.attach_chaos(self, horizon=duration)
+                         if ctx is not None else None)
         reason = self.oracle_reason = self._pick_oracle_reason()
         if reason is None:
             self.deployment.enable_batched_fastpath()
@@ -203,10 +205,10 @@ class TestbedHarness:
             self.sim.call_later(duration + cooldown * 0.5,
                                 self.deployment.drain_batches)
         # Likewise for metering: a spec that asked for billing gets a
-        # session that windows usage while this run executes.
-        from repro.billing import runtime as _metering
-        meter_session = _metering.attach_active_session(
-            self, horizon=duration, chaos=chaos_session)
+        # session that windows usage while this run executes.  It comes
+        # after the path: it snapshots the stations the fast path swaps.
+        meter_session = (ctx.attach_metering(self, horizon=duration)
+                         if ctx is not None else None)
         self.lg.start(duration)
         self.sim.run(until=self.sim.now + duration + cooldown)
         # Settle what the egress hold still keeps back.

@@ -421,7 +421,6 @@ class OvsBridge:
         self._shares: List[ComputeShare] = []
         #: True once :meth:`set_batch_stations` swapped the cores over.
         self._batch_mode = False
-        self._flush_margin = 0.0
         self._margin_fn = None
         self.drops_no_match = 0
         self.drops_action = 0
@@ -513,25 +512,22 @@ class OvsBridge:
             for i in range(len(shares))
         ]
 
-    def set_batch_stations(self, flush_margin: float = 0.0,
-                           margin_fn=None) -> None:
+    def set_batch_stations(self, margin_fn) -> None:
         """Swap the per-core stations for batch-admitting ones.
 
-        ``flush_margin`` is the deployment-computed lower bound on the
-        delay between this bridge's egress and the next timestamped
-        admission point in the chain; 0 (flush at every wake) is always
-        safe.  ``margin_fn(plan)``, when given, resolves that bound per
-        forwarding plan instead (the deployment knows where each egress
-        VF's traffic lands: fabric-bound plans get ``inf`` and flush
-        once per burst).  Every port -- existing and future -- also gets
-        a batched rx handler so upstream components can hand whole
-        bursts in.  Must be called after :meth:`set_compute`.
+        ``margin_fn(plan)`` resolves, per forwarding plan, the
+        deployment-computed lower bound on the delay between this
+        bridge's egress and the next timestamped admission point in the
+        chain (the deployment knows where each egress VF's traffic
+        lands: fabric-bound plans get ``inf`` and flush once per burst).
+        Every port -- existing and future -- also gets a batched rx
+        handler so upstream components can hand whole bursts in.  Must
+        be called after :meth:`set_compute`.
         """
         if self.sim is None or self.model is None or not self._shares:
             raise ConfigurationError(
                 f"bridge {self.name}: batched stations require timed compute")
         self._batch_mode = True
-        self._flush_margin = flush_margin
         self._margin_fn = margin_fn
         self._stations = [
             BatchFairStation(self.sim, queue_capacity=RX_RING_DEPTH,
@@ -889,9 +885,7 @@ class OvsBridge:
             key_shift_or=plan.in_port & 63)
         ts = batch.ts
         sub_ts = [ts[i] + waits[i] for i in range(len(ts))]
-        margin_fn = self._margin_fn
-        margin = (margin_fn(plan) if margin_fn is not None
-                  else self._flush_margin)
+        margin = self._margin_fn(plan)
         if type(margin) is _FusedRoute:
             group: _BatchPassGroup = _FusedPassGroup(
                 self, batch, plan, sub_ts, svc, margin)

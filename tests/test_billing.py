@@ -338,6 +338,30 @@ class TestChaosAttribution:
         assert drops.get(0, 0) > drops.get(2, 0)
 
 
+    def test_workload_armed_session_is_billed_like_the_harness_hook(self):
+        """ext.chaos arms its own ChaosSession; the metering session
+        must charge its recovery exactly as it charges a session the
+        harness hook attaches for the same plan (fig5.latency)."""
+        from repro.faults import campaign
+        from repro.scenario import ScenarioSpec, run_scenario
+
+        def fault_seconds(workload):
+            result = run_scenario(ScenarioSpec(
+                workload=workload,
+                deployment=make_spec(level=SecurityLevel.LEVEL_2, vms=2),
+                traffic=TrafficScenario.P2V, duration=0.15, seed=0,
+                params=(("metering", True),),
+                faults=campaign.default_plan(0.15)))
+            summary = [u for u in result.usage
+                       if u.get("kind") == "summary"]
+            assert len(summary) == 1
+            return summary[0]["fault_seconds_total"]
+
+        hooked = fault_seconds("fig5.latency")
+        assert hooked > 0
+        assert fault_seconds("ext.chaos") == hooked
+
+
 class TestScenarioThreading:
     def _metered_spec(self, seed=0):
         from repro.scenario import ScenarioSpec
@@ -389,6 +413,24 @@ class TestScenarioThreading:
         snap = registry.snapshot()
         for key in billing_keys:
             assert snap[key] == pytest.approx(result.metrics[key])
+
+    @pytest.mark.parametrize("params,message", [
+        ((("metering_interval", -0.01),), "-0.01"),
+        ((("metering_interval", math.inf),), "inf"),
+        ((("metering_interval", "0.01"),), "'0.01'"),
+        ((("metering_interval", True),), "True"),
+        ((("metering", "yes"),), "'yes'"),
+        ((("metering", 1),), "1"),
+    ])
+    def test_bad_metering_params_fail_at_construction(self, params,
+                                                       message):
+        from repro.errors import ValidationError
+        from repro.scenario import ScenarioSpec
+        with pytest.raises(ValidationError, match=message):
+            ScenarioSpec(
+                workload="fig5.latency",
+                deployment=make_spec(level=SecurityLevel.LEVEL_1),
+                duration=0.02, params=params)
 
     def test_metering_params_change_the_content_hash(self):
         from repro.scenario import ScenarioSpec

@@ -285,7 +285,7 @@ class TestChurnInvariants:
         assert values["violations"] == 0.0, service.violations[:5]
         assert values["rejections"] > 0  # shed, not wedged
         assert values["active_final"] <= 4  # capacity respected
-        kinds = {e["kind"] for e in service.events}
+        kinds = {e["kind"] for e in service.log.events}
         assert "reject" in kinds
 
 

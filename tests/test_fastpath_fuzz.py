@@ -317,13 +317,13 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
     from repro import obs
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
-    from repro.faults import runtime as chaos
+    from repro.scenario import context
     from repro.traffic import TestbedHarness
 
     if metering:
         billing.install(TenantMeter())
     if faulted:
-        chaos.activate(_crash_plan(), seed=7)
+        ctx = context.activate(_crash_plan(), seed=7)
     spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2)
     d = build_deployment(spec, TrafficScenario.P2V)
     tracer = obs.enable_tracing(d.sim) if tracing else None
@@ -365,7 +365,7 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
         if tracing:
             obs.disable_tracing()
         if faulted:
-            chaos.deactivate()
+            context.deactivate(ctx)
         if metering:
             billing.uninstall(billing.METER)
 
@@ -439,10 +439,10 @@ class TestBatchedChainDifferential:
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
-        from repro.faults import runtime as chaos
+        from repro.scenario import context
         from repro.traffic import TestbedHarness
 
-        chaos.activate(_crash_plan(), seed=7)
+        ctx = context.activate(_crash_plan(), seed=7)
         try:
             spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                                   num_vswitch_vms=2)
@@ -452,7 +452,7 @@ class TestBatchedChainDifferential:
             h.run(duration=0.002)
             assert h.lg.batch is False
         finally:
-            chaos.deactivate()
+            context.deactivate(ctx)
 
     def _run_churn_case(self, batch, duration=0.008):
         """One scripted-churn run: a live migration armed before the

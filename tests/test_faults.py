@@ -191,8 +191,8 @@ class TestBlastRadius:
         policy = RestartPolicySpec()
         floor = policy.restart_latency  # + backoff + re-sync on top
         assert result.values["mttr"] > floor
-        recover = [e for e in result.events if e["phase"] == "recover"]
-        assert recover and recover[0]["detail"]["downtime"] == \
+        recover = [e for e in result.events if e["kind"] == "recover"]
+        assert recover and recover[0]["downtime"] == \
             pytest.approx(result.values["mttr"])
 
     def test_warm_standby_is_a_level2_capability(self):
@@ -200,11 +200,11 @@ class TestBlastRadius:
         l2 = run_scenario(chaos_spec(faults=plan))
         base = run_scenario(chaos_spec(level=SecurityLevel.BASELINE, vms=1,
                                        faults=plan))
-        l2_recover = [e for e in l2.events if e["phase"] == "recover"]
-        base_recover = [e for e in base.events if e["phase"] == "recover"]
-        assert l2_recover and all(e["detail"].get("mode_is_failover")
+        l2_recover = [e for e in l2.events if e["kind"] == "recover"]
+        base_recover = [e for e in base.events if e["kind"] == "recover"]
+        assert l2_recover and all(e.get("mode_is_failover")
                                   for e in l2_recover)
-        assert base_recover and all(e["detail"].get("mode_is_restart")
+        assert base_recover and all(e.get("mode_is_restart")
                                     for e in base_recover)
         # failover skips backoff + re-sync, so Level-2 heals faster
         assert l2.values["mttr"] < base.values["mttr"]
@@ -320,7 +320,7 @@ class TestSupervisorPolicies:
         assert summary["giveups"] == 1
         assert summary["recovered"] == 0
         assert summary["restart_attempts"] == 0
-        assert [e.phase for e in session.log.events].count("give-up") == 1
+        assert [e["kind"] for e in session.log.events].count("give-up") == 1
 
     def test_circuit_breaker_stops_a_crash_loop(self):
         crashes = tuple(
@@ -333,7 +333,7 @@ class TestSupervisorPolicies:
                                      backoff_base=0.001,
                                      restart_latency=0.002))
         session, summary = self._session_for(plan, duration=0.15)
-        phases = [e.phase for e in session.log.events]
+        phases = [e["kind"] for e in session.log.events]
         assert phases.count("circuit-open") == 1
         # once open, no further restart attempts are spent
         state = session.states["compartment:0"]
@@ -351,10 +351,10 @@ class TestSupervisorPolicies:
                       at=crash_at),
         ))
         session, summary = self._session_for(plan, duration=0.15)
-        recovers = session.log.by_phase("recover")
+        recovers = session.log.of_kind("recover")
         assert len(recovers) == 1
         # re-sync could not start before the partition healed
-        assert recovers[0].t > partition_until
+        assert recovers[0]["t"] > partition_until
         assert summary["violations"] == 0
 
     def test_vf_reset_heals_and_conserves(self):
@@ -387,7 +387,7 @@ class TestHarnessAutoAttach:
             params={"frame_bytes": 64, "aggregate_pps": 10_000.0},
             faults=scripted_crash(at=0.01, duration=0.02))
         result = run_scenario(spec)
-        phases = [e["phase"] for e in result.events]
+        phases = [e["kind"] for e in result.events]
         assert "inject" in phases and "clear" in phases
         import dataclasses
         no_faults = run_scenario(dataclasses.replace(spec, faults=None))

@@ -11,7 +11,7 @@ from repro.controlplane.driver import ChurnScript
 from repro.core import SecurityLevel, TrafficScenario, build_deployment
 from repro.core.spec import DeploymentSpec
 from repro.experiments import fault_isolation, noisy_neighbor
-from repro.faults import scripted_crash
+from repro.faults import campaign, scripted_crash
 from repro.faults.session import ChaosSession
 from repro.scenario import ScenarioSpec
 from repro.traffic import TestbedHarness
@@ -193,7 +193,7 @@ class TestFaultIsolationPaths:
     def test_values_identical_batched_or_not(self, monkeypatch):
         """A session armed on the deployment (not through the engine)
         must still force the oracle: the table is the same either way."""
-        monkeypatch.setattr(fault_isolation, "TestbedHarness", _Recording)
+        monkeypatch.setattr(campaign, "TestbedHarness", _Recording)
         phase = 0.04  # the quick plan's
         specs = fault_isolation.scenarios(phase=phase, seed=0)
         values = {}
