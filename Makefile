@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test perfbench-test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
+.PHONY: test perfbench-test perfbench-goldens bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -10,6 +10,22 @@ test:
 # every simulator entry point perfbench/spans.py wraps by name exists.
 perfbench-test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q perfbench/tests
+
+# One pass of every benchmark workload, its outputs checked against
+# perfbench/goldens.json: fails if any paper or extension table, or a
+# data-plane digest, moved.  run.py itself exits 0 on a failed check,
+# so the gate reads its last line (the result JSON).
+PERFBENCH_WORKLOADS = paper-quick dataplane-saturated sweep-mixed
+
+perfbench-goldens:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 1 \
+			--trace 0 > perfbench-goldens.$$w.log || exit 1; \
+		tail -n 1 perfbench-goldens.$$w.log | grep -q '"correct": true' \
+			|| { cat perfbench-goldens.$$w.log; exit 1; }; \
+		echo "$$w: outputs match perfbench/goldens.json"; \
+		rm -f perfbench-goldens.$$w.log; \
+	done
 
 # Run the benchmark suite and fail if any benchmark regressed more
 # than 20% against the recorded baseline (BENCH_fastpath.json).

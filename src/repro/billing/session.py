@@ -119,6 +119,9 @@ class MeteringSession:
     def _close_window(self) -> None:
         """Harvest one window: accounting usages + tap deltas."""
         d = self.deployment
+        # Busy time and the tap's counters must include every service
+        # step up to the window's end, replayed or not.
+        d.catch_up_batches()
         t0, t1 = self._win_t0, d.sim.now
         usages = self._window.read()
         if not usages:

@@ -251,14 +251,30 @@ class Deployment:
                 if drain is not None:
                     drain()
 
+    def catch_up_batches(self) -> None:
+        """Bring every batch station's busy period up to ``sim.now``.
+
+        Stations replay their service lazily (see
+        :class:`~repro.sim.resources.BatchFairStation`); anything that
+        reads station or downstream state mid-run -- busy time, VF and
+        tap counters -- calls this first.
+        """
+        for bridge in self.bridges:
+            for station in bridge._stations:
+                catch_up = getattr(station, "catch_up", None)
+                if catch_up is not None:
+                    catch_up()
+
     def batch_watermark(self) -> float:
         """Earliest time a batch station can still hand members on.
 
-        Members not yet served finish at or after ``sim.now``; served
-        ones wait in their station's unflushed groups, and every hop
-        after a station only adds delay.  So nothing can reach the
-        egress link ready before this bound: the harness's egress hold
-        (:meth:`~repro.net.link.Link.hold`) settles up to it.
+        A station that lags (its busy period not yet replayed up to
+        ``sim.now``) still owes members finishing at or after the step
+        it will replay next; served ones wait in its unflushed groups;
+        every hop after a station only adds delay.  So nothing can
+        reach the egress link ready before this bound: the harness's
+        egress hold (:meth:`~repro.net.link.Link.hold`) settles up to
+        it.
         """
         mark = self.sim.now
         for station in self._batch_stations:
@@ -487,6 +503,8 @@ class Deployment:
         if self._plan_flush_margin(bridge2, plan2) != _INF:
             return None, False
         index2 = frame.flow_id % len(bridge2._stations)
+        station = bridge2._stations[index2]
+        from repro.vswitch.datapath import DatapathMode
         from repro.vswitch.l2fwd import L2FWD_CYCLES
         route = _FusedRoute()
         route.legs = tuple(legs)
@@ -509,11 +527,25 @@ class Deployment:
         route.num_ports = len(bridge2._ports)
         route.jitter = bridge2._jitter
         route.key_or = port2.port_no & 63
-        route.station = bridge2._stations[index2]
+        route.station = station
         route.cycles = bridge2.model.pass_cycles(
             port2.port_class,
             bridge2._ports[template.out_ports[0]].port_class,
             template.rewrites, num_ports=len(bridge2._ports))
+        if station is bridge._stations[plan.frame.flow_id
+                                       % len(bridge._stations)]:
+            # Members re-enter the station that serves them: a commit
+            # only touches that station's own pending heap.
+            route.lookahead = _INF
+        else:
+            # The registration's floor: fixed legs, the forwarder's base
+            # cost and the kernel datapath's fixed wait.  Shrunk so that
+            # float rounding can never make a registration late.
+            floor = sum(leg for leg in legs if leg is not None)
+            floor += route.l2fwd_base
+            if bridge2.model.mode == DatapathMode.KERNEL:
+                floor += bridge2.model.costs.fixed_latency
+            route.lookahead = floor * (1.0 - 1e-6)
         return route, False
 
     def resource_report(self) -> ResourceReport:

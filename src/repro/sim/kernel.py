@@ -83,11 +83,25 @@ class Simulator:
         self._heap: list[tuple[float, int, Event]] = []
         self._events_fired = 0
         self._running = False
+        self._until: Optional[float] = None
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def horizon(self) -> float:
+        """How far the running ``run(until=...)`` call takes the clock.
+
+        Components that defer work (batch stations replaying a busy
+        period lazily) may put it off up to this instant, but no later:
+        the call returns there.  Outside such a call -- no run, a run to
+        exhaustion, or one capped by ``max_events`` -- nothing says
+        where the clock stops, so the horizon is ``now``.
+        """
+        until = self._until
+        return self._now if until is None else until
 
     @property
     def events_fired(self) -> int:
@@ -135,6 +149,7 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered; the kernel is not reentrant")
         self._running = True
+        self._until = until if max_events is None else None
         fired = 0
         wall_start = time.perf_counter()
         try:
@@ -154,6 +169,7 @@ class Simulator:
                 self._events_fired += 1
         finally:
             self._running = False
+            self._until = None
         if until is not None and self._now < until:
             self._now = until
         _obs.TRACER.kernel_run(self._now, self._events_fired,

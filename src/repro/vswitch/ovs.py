@@ -112,13 +112,16 @@ class _FusedRoute:
     the tenant forwarder's (per-member: base cost plus keyed drain
     wait).  Commits add them one hop at a time, as the oracle's event
     chain does, so arrival timestamps match it to the last bit.
+    ``lookahead`` is the station lookahead of the upstream members (see
+    :class:`~repro.sim.resources.BatchFairStation`).
     """
 
     __slots__ = ("legs", "l2fwd_base", "drain_interval", "drain_unit",
                  "drain_site", "app", "app_epoch", "bridge",
                  "in_port_no", "template", "template_key", "flow_key",
                  "out_ports", "model", "share", "num_queues",
-                 "num_ports", "jitter", "key_or", "station", "cycles")
+                 "num_ports", "jitter", "key_or", "station", "cycles",
+                 "lookahead")
 
 
 class _FusedSink:
@@ -137,6 +140,8 @@ class _FusedSink:
     #: Terminal: the sub-batch this sink flushes is ordinary traffic.
     sink = None
     margin = _INF
+    #: Its flush is fabric-bound: nothing timestamped lies downstream.
+    lookahead = _INF
 
     __slots__ = ("route", "bridge", "key", "out_ports", "svc", "batch",
                  "_ids", "_created", "_done_idx", "_done_ts",
@@ -220,11 +225,13 @@ class _BatchPassGroup:
     ``commit`` in finish order (so their timestamps arrive sorted).
     Committed members re-accumulate here until ``flush`` emits them
     downstream as one sub-batch through the bridge's ``_execute_batch``.
+    A member's first effect outside the station is that flush, no
+    earlier than its margin requires, so the lookahead is the margin.
     """
 
     __slots__ = ("bridge", "batch", "key", "sub_ts", "svc", "margin",
-                 "out_ports", "rewrites", "_done_idx", "_done_ts",
-                 "_remaining")
+                 "lookahead", "out_ports", "rewrites", "_done_idx",
+                 "_done_ts", "_remaining")
 
     def __init__(self, bridge: "OvsBridge", batch: FrameBatch,
                  plan: "_ForwardPlan", sub_ts: List[float],
@@ -235,6 +242,7 @@ class _BatchPassGroup:
         self.sub_ts = sub_ts
         self.svc = svc
         self.margin = margin
+        self.lookahead = margin
         self.out_ports = plan.out_ports
         self.rewrites = plan.rewrites
         self._done_idx: List[int] = []
@@ -275,7 +283,9 @@ class _FusedPassGroup(_BatchPassGroup):
     next station immediately -- always contract-clean, since the
     admission lies a full chain delay in the future.  The margin is
     unbounded: the burst makes ONE accounting traversal of the chain,
-    at group completion, carrying counters/metering for every leg.
+    at group completion, carrying counters/metering for every leg.  The
+    lookahead is the route's (that registration is the member's first
+    effect outside the station).
     """
 
     __slots__ = ("route", "sink")
@@ -284,6 +294,7 @@ class _FusedPassGroup(_BatchPassGroup):
                  plan: "_ForwardPlan", sub_ts: List[float],
                  svc: List[float], route: _FusedRoute) -> None:
         super().__init__(bridge, batch, plan, sub_ts, svc, _INF)
+        self.lookahead = route.lookahead
         self.route = route
         self.sink: Optional[_FusedSink] = None
 
@@ -341,14 +352,15 @@ class _SoloPlanGroup:
     """A single per-frame plan admitted through a batch station.
 
     Lets the classic per-frame ingress (plan-cache misses, traced runs)
-    share one admission heap with batched arrivals.  Margin 0: the plan
-    executes at its own finish wake, exactly when the per-frame station
-    would have run it.
+    share one admission heap with batched arrivals.  Margin and
+    lookahead 0: the plan executes at ``sim.now`` of its own finish
+    wake, exactly when the per-frame station would have run it.
     """
 
     __slots__ = ("bridge", "plan", "key", "sub_ts", "svc", "_done")
 
     margin = 0.0
+    lookahead = 0.0
 
     def __init__(self, bridge: "OvsBridge", plan: "_ForwardPlan",
                  now: float) -> None:

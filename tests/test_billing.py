@@ -253,6 +253,34 @@ class TestReconciliation:
         assert {r.quality for r in records} == {"self-reported"}
 
 
+class TestWindowsOnBothPaths:
+    def test_per_window_cpu_matches_the_per_frame_oracle(self):
+        """A window close reads busy time mid-run, so it must first
+        catch the batch stations' lazily replayed busy periods up."""
+        from repro.experiments.noisy_neighbor import (
+            ATTACK_RATE_PPS, ATTACKER, VICTIM_RATE_PPS, VICTIMS)
+        windows = {}
+        for batch in (True, False):
+            d = build_deployment(
+                make_spec(level=SecurityLevel.LEVEL_2, vms=4,
+                          mode=ResourceMode.ISOLATED),
+                TrafficScenario.P2V, seed=3)
+            h = TestbedHarness(d, batch=batch)
+            h.add_tenant_flow(ATTACKER, ATTACK_RATE_PPS)
+            for victim in VICTIMS:
+                h.add_tenant_flow(victim, VICTIM_RATE_PPS)
+            session = MeteringSession(d, h, interval=0.01)
+            session.arm(0.05)
+            h.run(duration=0.05)
+            session.finish()
+            assert h.oracle_reason == (None if batch else "batch=False")
+            # One tenant per compartment: its window CPU is exact.
+            windows[batch] = [(r.tenant_id, r.t0, r.t1, r.cpu_seconds)
+                              for r in session.records if r.compartment >= 0]
+        assert len(windows[True]) == 24
+        assert windows[True] == windows[False]
+
+
 class TestMisattribution:
     #: Tenant 0 hammers small frames (cycle-heavy, byte-light); tenant 1
     #: sends few large frames (byte-heavy).  Billing by bytes then

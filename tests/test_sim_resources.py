@@ -1,9 +1,12 @@
 """FIFO queues and service stations."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import FifoQueue, ServiceStation, Simulator
-from repro.sim.resources import BatchFairStation
+from repro.sim.resources import BatchFairStation, FairServiceStation
 
 
 class TestFifoQueue:
@@ -115,6 +118,7 @@ class _Group:
 
     key = 0
     margin = 0.0
+    lookahead = 0.0
 
     def __init__(self, t, service):
         self.sub_ts = [t]
@@ -165,6 +169,181 @@ class TestBatchFairStation:
         assert station.oldest_unflushed() == first.commits[0] == 2e-6
         station.drain()
         assert station.oldest_unflushed() is None
+
+
+#: Arrival and service lattices with an irrational ratio: no finish
+#: time (arrival plus services) can tie with another arrival.
+_ARRIVAL = 1e-6
+_SERVICE = math.sqrt(2) * 1e-7
+_INF = float("inf")
+
+
+class _FuzzGroup:
+    """A batch-station group that checks the station's contract.
+
+    Its commits are due outside the station within ``lookahead`` of the
+    finish, and its flushes within ``margin`` of every flushed finish.
+    """
+
+    def __init__(self, sim, key, sub_ts, svc, margin, lookahead):
+        self.sim = sim
+        self.key = key
+        self.sub_ts = sub_ts
+        self.svc = svc
+        self.margin = margin
+        self.lookahead = lookahead
+        self.commits = {}
+        self.drops = set()
+        self._held = []
+
+    def commit(self, i, t):
+        assert self.sim.now <= t + self.lookahead
+        self.commits[i] = t
+        self._held.append(t)
+        return len(self._held) == 1
+
+    def drop(self, i):
+        self.drops.add(i)
+
+    def is_done(self):
+        return len(self.commits) + len(self.drops) == len(self.sub_ts)
+
+    def oldest_commit(self):
+        return self._held[0] if self._held else None
+
+    def flush(self, now):
+        for t in self._held:
+            assert self.sim.now <= t + self.margin
+        self._held = []
+
+
+_BOUND = st.sampled_from(["zero", "finite", "inf"])
+
+
+@st.composite
+def _station_case(draw):
+    """Groups of timestamped members on 1-4 rings, plus an optional cut.
+
+    Each group: ring key, members (arrival, service), margin and
+    lookahead (never above the margin: a flush is an outside effect),
+    registration lead, and whether members register one at a time.
+    """
+    rings = draw(st.integers(min_value=1, max_value=4))
+    capacity = draw(st.integers(min_value=1, max_value=8))
+    slots = draw(st.lists(st.integers(min_value=1, max_value=6),
+                          min_size=1, max_size=40))
+    arrivals = []
+    t = 0
+    for gap in slots:
+        t += gap
+        arrivals.append(t)
+    n_groups = draw(st.integers(min_value=1, max_value=min(8, len(slots))))
+    owner = [draw(st.integers(min_value=0, max_value=n_groups - 1))
+             for _ in arrivals]
+    groups = []
+    for g in range(n_groups):
+        ts = [a for a, o in zip(arrivals, owner) if o == g]
+        if not ts:
+            continue
+        bounds = []
+        for kind in (draw(_BOUND), draw(_BOUND)):
+            if kind == "zero":
+                bounds.append(0.0)
+            elif kind == "finite":
+                bounds.append(draw(st.integers(min_value=1, max_value=30))
+                              * _ARRIVAL / 3)
+            else:
+                bounds.append(_INF)
+        margin, lookahead = bounds[0], min(bounds)
+        groups.append({
+            "key": draw(st.integers(min_value=0, max_value=rings - 1)),
+            "ts": [a * _ARRIVAL for a in ts],
+            "svc": [draw(st.integers(min_value=1, max_value=40)) * _SERVICE
+                    for _ in ts],
+            "margin": margin,
+            "lookahead": lookahead,
+            "lead": draw(st.integers(min_value=0, max_value=20)) * _ARRIVAL,
+            "one_by_one": draw(st.booleans()),
+        })
+    cut = draw(st.one_of(st.none(), st.integers(min_value=0,
+                                                max_value=t + 20)))
+    if cut is not None:
+        cut = cut * _ARRIVAL + _ARRIVAL / 3
+    return capacity, groups, cut
+
+
+def _per_frame(capacity, groups, cut):
+    """The per-event reference: each member its own arrival event."""
+    sim = Simulator()
+    commits, drops = {}, set()
+    station = FairServiceStation(
+        sim, service_time=lambda m: m[2],
+        on_done=lambda m: commits.__setitem__(m[:2], sim.now),
+        queue_capacity=capacity)
+
+    def arrive(key, member):
+        if not station.submit(key, member):
+            drops.add(member[:2])
+
+    for g, spec in enumerate(groups):
+        for i, (t, s) in enumerate(zip(spec["ts"], spec["svc"])):
+            sim.schedule(t, arrive, spec["key"], (g, i, s))
+    busy_at_cut = None
+    if cut is not None:
+        sim.run(until=cut)
+        busy_at_cut = station.busy_time
+    sim.run()
+    return commits, drops, station, busy_at_cut
+
+
+def _batched(capacity, groups, cut):
+    sim = Simulator()
+    station = BatchFairStation(sim, queue_capacity=capacity)
+    made = []
+    for spec in groups:
+        group = _FuzzGroup(sim, spec["key"], spec["ts"], spec["svc"],
+                           spec["margin"], spec["lookahead"])
+        made.append(group)
+        if spec["one_by_one"]:
+            for i, t in enumerate(spec["ts"]):
+                sim.schedule(max(0.0, t - spec["lead"]),
+                             station.submit_member, group, i, t)
+        else:
+            sim.schedule(max(0.0, min(spec["ts"]) - spec["lead"]),
+                         station.submit_group, group)
+    at_cut = None
+    if cut is not None:
+        sim.run(until=cut)
+        at_cut = ({(g, i): t for g, group in enumerate(made)
+                   for i, t in group.commits.items()}, station.busy_time)
+    # A far horizon lets the station defer as far as lookaheads allow.
+    sim.run(until=1.0)
+    commits = {(g, i): t for g, group in enumerate(made)
+               for i, t in group.commits.items()}
+    drops = {(g, i) for g, group in enumerate(made) for i in group.drops}
+    return commits, drops, station, at_cut
+
+
+class TestBatchStationAgainstPerFrame:
+    """The lazily replayed station against per-frame events."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_station_case())
+    def test_commits_drops_and_busy_time_match(self, case):
+        capacity, groups, cut = case
+        ref_commits, ref_drops, ref, ref_busy = _per_frame(*case)
+        commits, drops, station, at_cut = _batched(*case)
+        assert commits == ref_commits
+        assert drops == ref_drops
+        assert station.busy_time == ref.busy_time
+        assert station.served == ref.served
+        assert station.dropped() == ref.dropped()
+        assert station.oldest_unflushed() is None
+        if cut is not None:
+            by_cut, busy = at_cut
+            assert by_cut == {m: t for m, t in ref_commits.items()
+                              if t <= cut}
+            assert busy == ref_busy
 
 
 class TestRngStreams:
