@@ -1,9 +1,14 @@
 PYTHON ?= python
 
-.PHONY: test perfbench-test perfbench-goldens bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
+.PHONY: test goldens perfbench-test perfbench-goldens bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# Regenerate the pinned experiment tables (tests/goldens/quick_seed0.txt)
+# that tests/test_runner.py compares byte for byte.
+goldens:
+	$(PYTHON) tool/goldens.py
 
 # Tests of the repository benchmark itself (perfbench/), which the
 # tier-1 suite does not collect: among other things they check that
@@ -48,11 +53,14 @@ bench-micro:
 		benchmarks/test_microbench.py::test_megaflow_hit_rate
 
 # cProfile the Fig. 5 e2e scenario: top-20 cumulative for the batched
-# fast path and the per-frame oracle (the before/after tables in
-# EXPERIMENTS.md come from exactly these two commands).
+# fast path and the per-frame oracle, then the batched Baseline p2v and
+# L2(2) v2v shapes (the before/after tables in EXPERIMENTS.md come from
+# exactly these commands).
 profile:
 	$(PYTHON) tool/profile.py
 	$(PYTHON) tool/profile.py --oracle
+	$(PYTHON) tool/profile.py --level baseline --traffic p2v
+	$(PYTHON) tool/profile.py --level l2 --traffic v2v
 
 # Just the sweep/backends benchmarks: records the warm-pool speedup
 # factor into BENCH_fastpath.json and gates on it (>= 1.5x required

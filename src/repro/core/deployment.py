@@ -104,7 +104,9 @@ class Deployment:
         if self.spec.level.is_mts:
             self.server.nic.port(port_index).connect_fabric(link)
         else:
-            self.phys_pairs[port_index].attach_tx(link.send)
+            pair = self.phys_pairs[port_index]
+            pair.attach_tx(link.send)
+            pair.attach_tx_batch(link.send_batch)
 
     def egress_port_index(self) -> int:
         """NIC port test traffic leaves on (1 on two-port runs)."""
@@ -219,17 +221,33 @@ class Deployment:
             id(port.pair): (bridge, port)
             for bridge in timed for port in bridge.ports()}
         # Tenant-forwarder rx pair -> (app, port index): route discovery
-        # follows the chain through the adapted l2fwd analytically.
-        l2fwd_by_pair: Dict[int, tuple] = {}
+        # follows the chain through an l2fwd or a Linux bridge
+        # analytically.
+        forwarders: Dict[int, tuple] = {}
+        self._linux_bridges: List[LinuxBridge] = []
         for vm in self.tenant_vms:
             if vm is None:
                 continue
             app = vm.apps.get("l2fwd")
-            if app is None:
-                continue
-            for index, pair in app._ports.items():
-                l2fwd_by_pair[id(pair)] = (app, index)
-        self._l2fwd_by_pair = l2fwd_by_pair
+            if app is not None:
+                for index, pair in app._ports.items():
+                    forwarders[id(pair)] = (app, index)
+            app = vm.apps.get("linux-bridge")
+            if app is not None:
+                self._linux_bridges.append(app)
+                for index, pair in enumerate(app._ports):
+                    forwarders[id(pair)] = (app, index)
+        self._forwarder_by_pair = forwarders
+        # Baseline wiring: each side of a vhost path -> (path, the
+        # other side), and the wire pairs whose egress is fabric-bound.
+        vhost_peer: Dict[int, tuple] = {}
+        for path in self.vhost_paths.values():
+            vhost_peer[id(path.host_side)] = (path, path.guest_side)
+            vhost_peer[id(path.guest_side)] = (path, path.host_side)
+        self._vhost_peer = vhost_peer
+        self._wire_pair_ids = {id(pair) for pair in self.phys_pairs.values()
+                               if pair._tx_batch is not None}
+        self._discovering: set = set()
         for bridge in timed:
             bridge.set_batch_stations(
                 margin_fn=lambda plan, b=bridge:
@@ -283,35 +301,49 @@ class Deployment:
                 mark = t
         return mark
 
+    @staticmethod
+    def _plan_key(bridge: OvsBridge, plan) -> tuple:
+        """Cache key of a forwarding plan's margin and fused route."""
+        frame = plan.frame
+        return (id(bridge), plan.in_port, frame.src_mac, frame.dst_mac,
+                frame.vlan, tuple(plan.out_ports))
+
     def _plan_flush_margin(self, bridge: OvsBridge, plan) -> float:
         """Flush-lateness bound for one forwarding plan (see
         :class:`~repro.sim.resources.BatchFairStation`).
 
-        Walks each egress VF's VEB decision for the plan's (already
-        rewritten) exemplar header and takes the minimum transit floor
-        over every reachable admission point:
+        Classifies each egress of the plan's (already rewritten)
+        exemplar header and takes the minimum transit floor over every
+        reachable admission point:
 
-        - fabric uplink: the remaining chain (wire occupancy, taps,
-          sink) is analytic in member timestamps -- no bound (``inf``);
+        - the wire (a Baseline physical port) or the NIC's fabric
+          uplink: the remaining chain (wire occupancy, taps, sink) is
+          analytic in member timestamps -- no bound (``inf``);
+        - a vhost path: two crossings plus the tenant forwarder's base
+          cost, after which the members re-enter the bridge; one
+          crossing when the forwarder is a Linux bridge that still has
+          to learn the header's source (it replays such members per
+          frame, at their own timestamps) or is unknown;
         - another mediation-bridge VF, or any receiver without a batch
           handler (whose fallback schedules per-member events at their
           timestamps): two PCIe DMAs + the VEB hop;
         - a batched tenant app that may forward back into the chain:
           four DMAs + two VEB hops (its re-entry into the NIC is the
           earliest following admission point);
-        - a rate-limited egress VF: 0 -- the policer is stateful in
-          per-frame arrival times, so flush at every finish wake.
+        - a rate-limited egress VF, or an egress it cannot classify: 0
+          -- the policer is stateful in per-frame arrival times, so
+          flush at every finish wake.
 
         Results are memoized per (bridge, header, egress set) and
-        revalidated against the VEB/policer config epochs.
+        revalidated against the VEB/policer/filter and Linux-bridge
+        epochs.
         """
         from repro.sriov.nic import VEB_LATENCY
         from repro.sriov.pcie import DMA_LATENCY
         from repro.sriov.switch import UPLINK, VebSwitch
         self._check_epochs()
         frame = plan.frame
-        key = (id(bridge), plan.in_port, frame.src_mac, frame.dst_mac,
-               frame.vlan, tuple(plan.out_ports))
+        key = self._plan_key(bridge, plan)
         cached = self._margin_cache.get(key)
         if cached is not None:
             return cached
@@ -322,10 +354,15 @@ class Deployment:
             port = bridge._ports.get(port_no)
             if port is None:
                 continue
+            if id(port.pair) in self._wire_pair_ids:
+                continue
+            peer = self._vhost_peer.get(id(port.pair))
+            if peer is not None:
+                margin = min(margin, self._vhost_margin(peer[0], peer[1],
+                                                        frame))
+                continue
             entry = self._pair_vf.get(id(port.pair))
             if entry is None:
-                # Egress we cannot classify (e.g. a vhost path): no
-                # slack assumed, flush at every wake.
                 margin = 0.0
                 break
             nic_port, vf = entry
@@ -349,11 +386,30 @@ class Deployment:
         self._margin_cache[key] = margin
         return margin
 
+    def _vhost_margin(self, path: VhostPath, guest: PortPair,
+                      frame) -> float:
+        """Transit floor from a vhost egress back to a timestamped
+        admission point (see :meth:`_plan_flush_margin`), shrunk so
+        that float rounding can never make a flush late."""
+        from repro.vswitch.l2fwd import L2FWD_CYCLES
+        crossing = path.costs.latency
+        floor = crossing
+        app, index = self._forwarder_by_pair.get(id(guest), (None, None))
+        if guest.rx._batch_handler is not None:
+            if isinstance(app, L2Fwd):
+                floor = 2 * crossing + L2FWD_CYCLES / app.freq_hz
+            elif (isinstance(app, LinuxBridge)
+                  and not app.learns(frame.src_mac, index)):
+                floor = 2 * crossing + app.delay
+        return floor * (1.0 - 1e-6)
+
     def _check_epochs(self) -> None:
-        """Invalidate cached margins/routes when NIC config changed."""
+        """Invalidate cached margins/routes when NIC config or a Linux
+        bridge's MAC table changed."""
         nic = self.server.nic
         epoch = (tuple((p.veb.epoch, p.policer_epoch) for p in nic.ports),
-                 nic.filters.epoch)
+                 nic.filters.epoch,
+                 sum(app.epoch for app in self._linux_bridges))
         if epoch != self._margin_epoch:
             self._margin_cache.clear()
             self._route_cache.clear()
@@ -372,48 +428,73 @@ class Deployment:
         margin = self._plan_flush_margin(bridge, plan)
         if margin == _INF or not self._allow_fused:
             return margin
-        frame = plan.frame
-        key = (id(bridge), plan.in_port, frame.src_mac, frame.dst_mac,
-               frame.vlan, tuple(plan.out_ports))
+        route, _ = self._fused_route(bridge, plan)
+        return margin if route is None else route
+
+    def _fused_route(self, bridge: OvsBridge, plan):
+        """The plan's fused route, cached and revalidated hop by hop
+        along its whole chain.  Returns ``(route | None, retryable)``
+        (see :meth:`_discover_route`)."""
+        key = self._plan_key(bridge, plan)
         route = self._route_cache.get(key)
+        if route is _NO_FUSE:
+            return None, False
         if route is not None:
-            if route is _NO_FUSE:
-                return margin
+            if self._route_valid(route):
+                return route, False
+            del self._route_cache[key]
+        if key in self._discovering:
+            return None, False  # the chain loops back onto this plan
+        self._discovering.add(key)
+        try:
+            route, retryable = self._discover_route(bridge, plan)
+        finally:
+            self._discovering.discard(key)
+        if route is not None:
+            self._route_cache[key] = route
+        elif not retryable:
+            # A cold downstream template/flow cache/Linux-bridge entry
+            # warms up within the flow's first bursts; every other
+            # failure is config-stable until an epoch bump, so the
+            # negative result is cacheable.
+            self._route_cache[key] = _NO_FUSE
+        return route, retryable
+
+    @staticmethod
+    def _route_valid(route) -> bool:
+        """Whether every leg of a cached (possibly chained) route still
+        holds: same plan template and port count at its bridge, the
+        megaflow entry still cached, the forwarder unchanged."""
+        while route is not None:
             bridge2 = route.bridge
-            if (bridge2._plan_cache.get(route.template_key)
+            if not (bridge2._plan_cache.get(route.template_key)
                     is route.template
                     and len(bridge2._ports) == route.num_ports
                     and (route.flow_key is None
                          or route.flow_key in bridge2.cache._entries)
                     and (route.app is None
                          or route.app.epoch == route.app_epoch)):
-                return route
-            del self._route_cache[key]
-        route, retryable = self._discover_route(bridge, plan)
-        if route is not None:
-            self._route_cache[key] = route
-            return route
-        if not retryable:
-            # A cold downstream template/flow cache warms up within the
-            # flow's first bursts; every other failure is config-stable
-            # until an epoch bump, so the negative result is cacheable.
-            self._route_cache[key] = _NO_FUSE
-        return margin
+                return False
+            route = route.next
+        return True
 
     def _discover_route(self, bridge: OvsBridge, plan):
         """Walk a plan's egress chain; build a fused route if it is
         deterministic all the way to the next batch station.
 
         Requirements, checked leg by leg (NIC VF ingress -> VEB -> PCIe
-        -> receiver, with at most one jittered tenant forwarder):
-        single egress; every hop batch-capable; no policer buckets; NIC
-        filters/spoof-check pass; VEB decision is a single non-uplink
-        function; the terminal bridge holds a warm, non-dropping,
-        single-egress plan template (and megaflow entry) for the
-        arriving header, and that template's own egress resolves to an
-        unbounded margin (fabric-bound -- so the downstream station is
-        the *last* timestamp-sensitive point).  Returns
-        ``(route | None, retryable)``.
+        -> receiver, or a vhost crossing, with at most one tenant
+        forwarder: an l2fwd or a Linux bridge): single egress; every
+        hop batch-capable; no policer buckets; NIC filters/spoof-check
+        pass; VEB decision is a single non-uplink function; a Linux
+        bridge already knows the source and forwards to one port; the
+        terminal bridge holds a warm, non-dropping, single-egress plan
+        template (and megaflow entry) for the arriving header, and that
+        template's own egress either resolves to an unbounded margin
+        (fabric-bound -- the downstream station is the *last*
+        timestamp-sensitive point) or is itself fused (``route.next``:
+        the chain continues).  Returns ``(route | None, retryable)``;
+        retryable failures are the ones the flow's first bursts cure.
         """
         from repro.sim.hashjit import HashJitter
         from repro.sriov.filters import FilterAction, SpoofCheck
@@ -438,35 +519,52 @@ class Deployment:
         for _hop in range(4):
             if pair._tx_batch is None:
                 return None, False
-            entry = self._pair_vf.get(id(pair))
-            if entry is None:
+            peer = self._vhost_peer.get(id(pair))
+            if peer is not None:
+                path, rx_pair = peer
+                legs.append(path.costs.latency)
+            else:
+                entry = self._pair_vf.get(id(pair))
+                if entry is None:
+                    return None, False
+                nic_port, vf = entry
+                if vf.mac is None or not SpoofCheck.permits(vf, frame):
+                    return None, False
+                if nic_port._buckets.get(vf.name) is not None:
+                    return None, False
+                if filters.peek(vf, frame) is not FilterAction.ALLOW:
+                    return None, False
+                legs.append(DMA_LATENCY + frame.wire_size() * 8.0 / bw
+                            + VEB_LATENCY)
+                dests = nic_port.veb.peek_destinations(
+                    vf.name, VebSwitch.domain_of(vf), frame)
+                if len(dests) != 1 or dests[0] == UPLINK:
+                    return None, False
+                func = nic_port._functions.get(dests[0])
+                if func is None:
+                    return None, False
+                if frame.vlan is not None:
+                    frame.pop_vlan()
+                legs.append(DMA_LATENCY + frame.wire_size() * 8.0 / bw)
+                rx_pair = func.port
+            if rx_pair.rx._batch_handler is None:
                 return None, False
-            nic_port, vf = entry
-            if vf.mac is None or not SpoofCheck.permits(vf, frame):
-                return None, False
-            if nic_port._buckets.get(vf.name) is not None:
-                return None, False
-            if filters.peek(vf, frame) is not FilterAction.ALLOW:
-                return None, False
-            legs.append(DMA_LATENCY + frame.wire_size() * 8.0 / bw
-                        + VEB_LATENCY)
-            dests = nic_port.veb.peek_destinations(
-                vf.name, VebSwitch.domain_of(vf), frame)
-            if len(dests) != 1 or dests[0] == UPLINK:
-                return None, False
-            func = nic_port._functions.get(dests[0])
-            if func is None or func.port.rx._batch_handler is None:
-                return None, False
-            if frame.vlan is not None:
-                frame.pop_vlan()
-            legs.append(DMA_LATENCY + frame.wire_size() * 8.0 / bw)
-            target = self._bridge_port_by_pair.get(id(func.port))
+            target = self._bridge_port_by_pair.get(id(rx_pair))
             if target is not None:
                 break
-            linfo = self._l2fwd_by_pair.get(id(func.port))
-            if linfo is None or app is not None:
+            forwarder = self._forwarder_by_pair.get(id(rx_pair))
+            if forwarder is None or app is not None:
                 return None, False
-            app, in_index = linfo
+            app, in_index = forwarder
+            if isinstance(app, LinuxBridge):
+                if app.learns(frame.src_mac, in_index):
+                    return None, True  # the flow's first frames learn it
+                outs, _ = app.decide(in_index, frame.dst_mac)
+                if outs is None or len(outs) != 1:
+                    return None, False
+                legs.append(app.delay)
+                pair = app._ports[outs[0]]
+                continue
             route_l2 = app._routes.get(in_index)
             if route_l2 is None:
                 return None, False
@@ -500,18 +598,25 @@ class Deployment:
         plan2 = _ForwardPlan(frame=frame3, in_port=port2.port_no,
                              out_ports=list(template.out_ports),
                              rewrites=template.rewrites)
+        onward = None
         if self._plan_flush_margin(bridge2, plan2) != _INF:
-            return None, False
+            # The downstream pass is not the last timestamp-sensitive
+            # point: fuse only if its own egress fuses too.
+            onward, retryable = self._fused_route(bridge2, plan2)
+            if onward is None:
+                return None, retryable
         index2 = frame.flow_id % len(bridge2._stations)
         station = bridge2._stations[index2]
         from repro.vswitch.datapath import DatapathMode
         from repro.vswitch.l2fwd import L2FWD_CYCLES
+        l2fwd = app if isinstance(app, L2Fwd) else None
         route = _FusedRoute()
         route.legs = tuple(legs)
-        route.l2fwd_base = (L2FWD_CYCLES / app.freq_hz if app is not None
-                            else 0.0)
-        route.drain_interval = app.drain_interval if app is not None else 0.0
-        route.drain_unit = app._jitter.unit if app is not None else None
+        route.l2fwd_base = (L2FWD_CYCLES / l2fwd.freq_hz
+                            if l2fwd is not None else 0.0)
+        route.drain_interval = (l2fwd.drain_interval if l2fwd is not None
+                                else 0.0)
+        route.drain_unit = l2fwd._jitter.unit if l2fwd is not None else None
         route.drain_site = HashJitter.SITE_L2FWD_DRAIN
         route.app = app
         route.app_epoch = app.epoch if app is not None else 0
@@ -532,6 +637,7 @@ class Deployment:
             port2.port_class,
             bridge2._ports[template.out_ports[0]].port_class,
             template.rewrites, num_ports=len(bridge2._ports))
+        route.next = onward
         if station is bridge._stations[plan.frame.flow_id
                                        % len(bridge._stations)]:
             # Members re-enter the station that serves them: a commit

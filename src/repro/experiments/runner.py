@@ -111,6 +111,14 @@ def run_extensions(quick: bool = True, seed: int = 0) -> Dict[str, Table]:
             for key, thunk in extension_plan(quick=quick, seed=seed)}
 
 
+def run_plan(plan: ExperimentPlan) -> Tuple[Dict[str, Table], str]:
+    """Run ``plan`` in order: its tables by id, and their renders joined
+    in plan order (the text ``tests/goldens/`` pins byte for byte)."""
+    tables = {key: thunk() for key, thunk in plan}
+    text = "\n\n".join(table.render() for table in tables.values())
+    return tables, text + "\n"
+
+
 def render_everything(quick: bool = True,
                       include_extensions: bool = False,
                       seed: int = 0) -> str:

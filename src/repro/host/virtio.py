@@ -16,10 +16,11 @@ by the deployment builder so that the DES and the analytic model agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs as _obs
 from repro.net.interfaces import PortPair
-from repro.net.packet import Frame
+from repro.net.packet import Frame, FrameBatch
 from repro.sim.kernel import Simulator
 from repro.units import USEC
 
@@ -42,16 +43,21 @@ class VhostPath:
     cycle cost that the owning datapath charges to its compute share.
     The guest side is a :class:`PortPair` the tenant application holds;
     the host side is a :class:`PortPair` the vswitch bridge holds.
+    Batches cross in one call: the latency is constant, so every member
+    advances by exactly the float the per-frame ``call_later`` adds.
     """
 
-    def __init__(self, sim: Simulator, name: str, costs: VhostCosts = VhostCosts()):
+    def __init__(self, sim: Simulator, name: str,
+                 costs: Optional[VhostCosts] = None):
         self.sim = sim
         self.name = name
-        self.costs = costs
+        self.costs = costs if costs is not None else VhostCosts()
         self.host_side = PortPair(f"{name}.host")
         self.guest_side = PortPair(f"{name}.guest")
         self.host_side.attach_tx(self._to_guest)
         self.guest_side.attach_tx(self._to_host)
+        self.host_side.attach_tx_batch(self._to_guest_batch)
+        self.guest_side.attach_tx_batch(self._to_host_batch)
         self.crossings = 0
 
     def _to_guest(self, frame: Frame) -> None:
@@ -67,3 +73,13 @@ class VhostPath:
         frame.charge("vhost", self.costs.latency)
         _obs.TRACER.vhost(self.name, frame, "g2h", self.costs.latency)
         self.sim.call_later(self.costs.latency, self.host_side.rx.receive, frame)
+
+    def _to_guest_batch(self, batch: FrameBatch) -> None:
+        self.crossings += len(batch)
+        batch.advance(self.costs.latency)
+        self.guest_side.rx.receive_batch(batch, self.sim)
+
+    def _to_host_batch(self, batch: FrameBatch) -> None:
+        self.crossings += len(batch)
+        batch.advance(self.costs.latency)
+        self.host_side.rx.receive_batch(batch, self.sim)

@@ -100,19 +100,20 @@ class _FusedRoute:
     """The analytically-known continuation of a forwarding plan.
 
     Built by the deployment's route resolver when a plan's single
-    egress leads -- through NIC/VEB/PCIe legs and at most one tenant
-    forwarder -- deterministically to another (or the same) bridge's
-    batch station, with a warm plan template and megaflow entry waiting
-    there and an unbounded flush margin beyond it.  A fused pass group
-    uses it to *pre-register* each member at the downstream station the
-    moment the member commits upstream, deferring the physical chain
-    traversal to one accounting sweep per burst.
+    egress leads -- through NIC/VEB/PCIe or vhost legs and at most one
+    tenant forwarder (l2fwd or Linux bridge) -- deterministically to
+    another (or the same) bridge's batch station, with a warm plan
+    template and megaflow entry waiting there, and beyond it either an
+    unbounded flush margin or another fused route (``next``).  A fused
+    pass group uses it to *pre-register* each member at the downstream
+    station the moment the member commits upstream, deferring the
+    physical chain traversal to one accounting sweep per burst.
 
     ``legs`` holds the per-hop delays in chain order, ``None`` marking
-    the tenant forwarder's (per-member: base cost plus keyed drain
-    wait).  Commits add them one hop at a time, as the oracle's event
-    chain does, so arrival timestamps match it to the last bit.
-    ``lookahead`` is the station lookahead of the upstream members (see
+    an l2fwd's (per-member: base cost plus keyed drain wait).  Commits
+    add them one hop at a time, as the oracle's event chain does, so
+    arrival timestamps match it to the last bit.  ``lookahead`` is the
+    station lookahead of the upstream members (see
     :class:`~repro.sim.resources.BatchFairStation`).
     """
 
@@ -121,7 +122,33 @@ class _FusedRoute:
                  "in_port_no", "template", "template_key", "flow_key",
                  "out_ports", "model", "share", "num_queues",
                  "num_ports", "jitter", "key_or", "station", "cycles",
-                 "lookahead")
+                 "lookahead", "next")
+
+    def register(self, sink: "_FusedSink", fid: int, created_at: float,
+                 t: float) -> None:
+        """Pre-register a member that finished upstream at ``t``: its
+        arrival at this route's station, and its service there."""
+        arrival = t
+        for leg in self.legs:
+            if leg is None:
+                leg = self.l2fwd_base + self.drain_interval * \
+                    self.drain_unit(fid, self.drain_site)
+            arrival += leg
+        share = self.share
+        timing = self.model.timing(
+            self.cycles,
+            effective_hz=share.effective_hz(),
+            sharers=share.sharers,
+            num_queues=self.num_queues,
+            jitter=self.jitter,
+            key=(fid << 6) | self.key_or,
+        )
+        j = sink.append(fid, created_at, timing.service)
+        # The pass wait is one sum, as in OvsBridge._dispatch.
+        self.station.submit_member(
+            sink, j,
+            arrival + (timing.fixed_wait + timing.sched_wait
+                       + timing.drain_wait))
 
 
 class _FusedSink:
@@ -135,17 +162,19 @@ class _FusedSink:
     admitted (or ring-dropped) downstream.  Duck-types the group
     protocol of :class:`~repro.sim.resources.BatchFairStation` and the
     fields :meth:`OvsBridge._execute_batch` reads.
+
+    When its route continues (``route.next``), the sink is *chained*:
+    each commit here pre-registers the member one station further, in
+    a downstream sink of its own, exactly as a fused pass group does;
+    its lookahead is then the onward route's, and completing seals the
+    downstream sink.  Otherwise its flush is fabric-bound.
     """
 
-    #: Terminal: the sub-batch this sink flushes is ordinary traffic.
-    sink = None
     margin = _INF
-    #: Its flush is fabric-bound: nothing timestamped lies downstream.
-    lookahead = _INF
 
     __slots__ = ("route", "bridge", "key", "out_ports", "svc", "batch",
-                 "_ids", "_created", "_done_idx", "_done_ts",
-                 "_submitted", "_resolved", "_sealed")
+                 "sink", "lookahead", "_ids", "_created", "_done_idx",
+                 "_done_ts", "_submitted", "_resolved", "_sealed")
 
     def __init__(self, route: _FusedRoute) -> None:
         self.route = route
@@ -154,6 +183,10 @@ class _FusedSink:
         self.out_ports = route.out_ports
         self.svc: List[float] = []
         self.batch: Optional[FrameBatch] = None
+        #: The chained sink's own downstream sink (made on first commit).
+        self.sink: Optional[_FusedSink] = None
+        self.lookahead = (route.next.lookahead if route.next is not None
+                          else _INF)
         self._ids: List[int] = []
         self._created: List[float] = []
         self._done_idx: List[int] = []
@@ -196,12 +229,21 @@ class _FusedSink:
 
     def commit(self, j: int, t: float) -> bool:
         self._resolved += 1
+        onward = self.route.next
+        if onward is not None:
+            if self.sink is None:
+                self.sink = _FusedSink(onward)
+            onward.register(self.sink, self._ids[j], self._created[j], t)
         self._done_idx.append(j)
         self._done_ts.append(t)
         return len(self._done_idx) == 1
 
     def drop(self, j: int) -> None:
         self._resolved += 1
+        if not self._done_idx and self.is_done():
+            # Nothing left to flush (the station only flushes a done
+            # group holding commits): seal downstream here.
+            self._seal_onward()
 
     def is_done(self) -> bool:
         return self._sealed and self._resolved == self._submitted
@@ -214,7 +256,12 @@ class _FusedSink:
             self.bridge._execute_batch(self)
             self._done_idx = []
             self._done_ts = []
+        if self.is_done():
+            self._seal_onward()
 
+    def _seal_onward(self) -> None:
+        if self.sink is not None:
+            self.sink.seal()
 
 class _BatchPassGroup:
     """One batched burst's passage through the bridge's service station.
@@ -299,32 +346,11 @@ class _FusedPassGroup(_BatchPassGroup):
         self.sink: Optional[_FusedSink] = None
 
     def commit(self, i: int, t: float) -> bool:
-        route = self.route
         sink = self.sink
         if sink is None:
-            sink = self.sink = _FusedSink(route)
+            sink = self.sink = _FusedSink(self.route)
         batch = self.batch
-        fid = batch.frame_ids[i]
-        arrival = t
-        for leg in route.legs:
-            if leg is None:
-                leg = route.l2fwd_base + route.drain_interval * \
-                    route.drain_unit(fid, route.drain_site)
-            arrival += leg
-        timing = route.model.timing(
-            route.cycles,
-            effective_hz=route.share.effective_hz(),
-            sharers=route.share.sharers,
-            num_queues=route.num_queues,
-            jitter=route.jitter,
-            key=(fid << 6) | route.key_or,
-        )
-        j = sink.append(fid, batch.created_at[i], timing.service)
-        # The pass wait is one sum, as in OvsBridge._dispatch.
-        route.station.submit_member(
-            sink, j,
-            arrival + (timing.fixed_wait + timing.sched_wait
-                       + timing.drain_wait))
+        self.route.register(sink, batch.frame_ids[i], batch.created_at[i], t)
         self._remaining -= 1
         self._done_idx.append(i)
         self._done_ts.append(t)

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, CoreExhaustedError, MemoryExhausted
 from repro.host import HostMemory, Hypervisor, Server, VhostPath, Vm, VmRole, VmSpec
 from repro.host.cpu import CorePool
 from repro.host.hypervisor import PinPolicy
+from repro.host.virtio import VhostCosts
 from repro.host.vm import VmState
 from repro.net import Frame, MacAddress
 from repro.sim import Simulator
@@ -188,3 +189,12 @@ class TestVhostPath:
         path.host_side.transmit(f)
         sim.run()
         assert "vh0.h2g" in f.trace
+
+    def test_default_costs_are_per_path(self):
+        # A path built without ``costs`` gets its own instance: tuning
+        # one path's latency must not move any other path's.
+        sim = Simulator()
+        a, b = VhostPath(sim, "vh0"), VhostPath(sim, "vh1")
+        assert a.costs is not b.costs
+        a.costs.latency *= 2
+        assert b.costs.latency == VhostCosts().latency

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """cProfile harness for the Fig. 5 e2e scenario.
 
-Profiles one end-to-end run of the paper's throughput topology (MTS
-L2, 2 vswitch VMs, 4 tenant flows at 200 kpps each) and prints the
+Profiles one end-to-end run of a Fig. 5 topology (default: MTS L2 with
+2 vswitch VMs, p2v; 4 tenant flows at 200 kpps each) and prints the
+run's function calls, kernel events and batch-station wakes, then the
 top functions by cumulative time -- the lens that found and then
 verified the batched-fastpath wins recorded in EXPERIMENTS.md.
 
@@ -10,10 +11,13 @@ Usage::
 
     python tool/profile.py              # batched fast path (default)
     python tool/profile.py --oracle     # per-frame oracle path
+    python tool/profile.py --level baseline --traffic p2v
+    python tool/profile.py --level l2 --traffic v2v
     python tool/profile.py --top 30     # more rows
     python tool/profile.py --duration 0.05
     python tool/profile.py --out prof.pstats   # also dump raw stats
-    make profile                        # batched + oracle, top-20 each
+    make profile                        # L2 p2v batched + oracle, then
+                                        # Baseline p2v and L2(2) v2v
 """
 
 from __future__ import annotations
@@ -37,17 +41,31 @@ REPO_ROOT = os.path.dirname(_TOOL_DIR)
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 
-def run_fig5(duration: float, batch: bool) -> dict:
+#: ``--level`` -> DeploymentSpec keyword arguments.
+LEVELS = {
+    "baseline": {"level": "BASELINE"},
+    "l1": {"level": "LEVEL_1"},
+    "l2": {"level": "LEVEL_2", "num_vswitch_vms": 2},
+}
+
+
+def run_fig5(duration: float, batch: bool, level: str = "l2",
+             traffic: str = "p2v") -> dict:
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
     from repro.traffic import TestbedHarness
 
-    spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2)
-    deployment = build_deployment(spec, TrafficScenario.P2V)
+    kwargs = dict(LEVELS[level])
+    kwargs["level"] = SecurityLevel[kwargs["level"]]
+    spec = DeploymentSpec(**kwargs)
+    deployment = build_deployment(spec, TrafficScenario(traffic))
     harness = TestbedHarness(deployment, batch=batch)
     harness.configure_tenant_flows(rate_per_flow_pps=200_000)
+    events = deployment.sim.events_fired
     result = harness.run(duration=duration)
-    return {"sent": result.sent, "delivered": result.delivered}
+    return {"sent": result.sent, "delivered": result.delivered,
+            "events": deployment.sim.events_fired - events,
+            "label": f"{spec.label} {traffic}"}
 
 
 def main() -> int:
@@ -55,6 +73,12 @@ def main() -> int:
     parser.add_argument("--oracle", action="store_true",
                         help="profile the per-frame oracle path instead "
                              "of the batched fast path")
+    parser.add_argument("--level", default="l2", choices=sorted(LEVELS),
+                        help="deployment: Baseline, L1, or L2 with 2 "
+                             "vswitch VMs (default l2)")
+    parser.add_argument("--traffic", default="p2v",
+                        choices=["p2p", "p2v", "v2v"],
+                        help="Fig. 5 traffic scenario (default p2v)")
     parser.add_argument("--duration", type=float, default=0.05,
                         help="simulated seconds of traffic (default 0.05)")
     parser.add_argument("--top", type=int, default=20,
@@ -68,15 +92,20 @@ def main() -> int:
     args = parser.parse_args()
 
     label = "oracle (per-frame)" if args.oracle else "batched fast path"
-    print(f"Profiling Fig. 5 L2 e2e, {label}, "
+    print(f"Profiling Fig. 5 {args.level} {args.traffic} e2e, {label}, "
           f"duration={args.duration}s ...")
     profiler = cProfile.Profile()
     profiler.enable()
-    counts = run_fig5(args.duration, batch=not args.oracle)
+    counts = run_fig5(args.duration, batch=not args.oracle,
+                      level=args.level, traffic=args.traffic)
     profiler.disable()
-    print(f"sent={counts['sent']} delivered={counts['delivered']}\n")
-
     stats = pstats.Stats(profiler, stream=sys.stdout)
+    wakes = sum(entry[1] for func, entry in stats.stats.items()
+                if func[2] == "_wake" and func[0].endswith("resources.py"))
+    print(f"{counts['label']}: sent={counts['sent']} "
+          f"delivered={counts['delivered']} calls={stats.total_calls} "
+          f"kernel events={counts['events']} station wakes={wakes}\n")
+
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
         stats.dump_stats(args.out)
