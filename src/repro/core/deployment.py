@@ -247,7 +247,7 @@ class Deployment:
         self._vhost_peer = vhost_peer
         self._wire_pair_ids = {id(pair) for pair in self.phys_pairs.values()
                                if pair._tx_batch is not None}
-        self._discovering: set = set()
+        self._discovering = set()
         for bridge in timed:
             bridge.set_batch_stations(
                 margin_fn=lambda plan, b=bridge:
@@ -358,8 +358,7 @@ class Deployment:
                 continue
             peer = self._vhost_peer.get(id(port.pair))
             if peer is not None:
-                margin = min(margin, self._vhost_margin(peer[0], peer[1],
-                                                        frame))
+                margin = min(margin, self._vhost_margin(*peer, frame))
                 continue
             entry = self._pair_vf.get(id(port.pair))
             if entry is None:
@@ -609,14 +608,15 @@ class Deployment:
         station = bridge2._stations[index2]
         from repro.vswitch.datapath import DatapathMode
         from repro.vswitch.l2fwd import L2FWD_CYCLES
-        l2fwd = app if isinstance(app, L2Fwd) else None
         route = _FusedRoute()
         route.legs = tuple(legs)
-        route.l2fwd_base = (L2FWD_CYCLES / l2fwd.freq_hz
-                            if l2fwd is not None else 0.0)
-        route.drain_interval = (l2fwd.drain_interval if l2fwd is not None
-                                else 0.0)
-        route.drain_unit = l2fwd._jitter.unit if l2fwd is not None else None
+        if isinstance(app, L2Fwd):
+            route.l2fwd_base = L2FWD_CYCLES / app.freq_hz
+            route.drain_interval = app.drain_interval
+            route.drain_unit = app._jitter.unit
+        else:
+            route.l2fwd_base = route.drain_interval = 0.0
+            route.drain_unit = None
         route.drain_site = HashJitter.SITE_L2FWD_DRAIN
         route.app = app
         route.app_epoch = app.epoch if app is not None else 0

@@ -263,6 +263,7 @@ class _FusedSink:
         if self.sink is not None:
             self.sink.seal()
 
+
 class _BatchPassGroup:
     """One batched burst's passage through the bridge's service station.
 

@@ -41,23 +41,17 @@ REPO_ROOT = os.path.dirname(_TOOL_DIR)
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 
-#: ``--level`` -> DeploymentSpec keyword arguments.
-LEVELS = {
-    "baseline": {"level": "BASELINE"},
-    "l1": {"level": "LEVEL_1"},
-    "l2": {"level": "LEVEL_2", "num_vswitch_vms": 2},
-}
-
-
 def run_fig5(duration: float, batch: bool, level: str = "l2",
              traffic: str = "p2v") -> dict:
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
     from repro.traffic import TestbedHarness
 
-    kwargs = dict(LEVELS[level])
-    kwargs["level"] = SecurityLevel[kwargs["level"]]
-    spec = DeploymentSpec(**kwargs)
+    spec = {
+        "baseline": DeploymentSpec(level=SecurityLevel.BASELINE),
+        "l1": DeploymentSpec(level=SecurityLevel.LEVEL_1),
+        "l2": DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2),
+    }[level]
     deployment = build_deployment(spec, TrafficScenario(traffic))
     harness = TestbedHarness(deployment, batch=batch)
     harness.configure_tenant_flows(rate_per_flow_pps=200_000)
@@ -73,7 +67,8 @@ def main() -> int:
     parser.add_argument("--oracle", action="store_true",
                         help="profile the per-frame oracle path instead "
                              "of the batched fast path")
-    parser.add_argument("--level", default="l2", choices=sorted(LEVELS),
+    parser.add_argument("--level", default="l2",
+                        choices=["baseline", "l1", "l2"],
                         help="deployment: Baseline, L1, or L2 with 2 "
                              "vswitch VMs (default l2)")
     parser.add_argument("--traffic", default="p2v",
