@@ -8,11 +8,11 @@ per-frame kernel cost and interrupt latency, charged to the tenant VM's
 cores -- which, with the tenant's two dedicated cores, is never the
 bottleneck, but it does add latency versus MTS's in-tenant DPDK l2fwd.
 
-Batches forward in one call: the bridge learns the burst's source once,
-decides once, and advances every member by the same constant delay.
-That matches the per-frame path, which learns at each arrival and
-decides at arrival + delay, as long as no learn changes the table while
-the burst is in flight.  A burst whose own learn would change the table
+Batches forward in one call: the bridge decides once per burst and
+advances every member by the same constant delay.  That matches the
+per-frame path, which learns at each arrival and decides at arrival +
+delay, as long as no learn changes the table while the burst is in
+flight.  A burst whose own learn would change the table
 (a new source, or one that moved port) therefore replays its members as
 per-frame events, so the change lands exactly when the per-frame path
 makes it; ``epoch`` counts the changes, and fused routes that cross the
