@@ -224,7 +224,6 @@ class Deployment:
         # follows the chain through an l2fwd or a Linux bridge
         # analytically.
         forwarders: Dict[int, tuple] = {}
-        self._linux_bridges: List[LinuxBridge] = []
         for vm in self.tenant_vms:
             if vm is None:
                 continue
@@ -234,7 +233,6 @@ class Deployment:
                     forwarders[id(pair)] = (app, index)
             app = vm.apps.get("linux-bridge")
             if app is not None:
-                self._linux_bridges.append(app)
                 for index, pair in enumerate(app._ports):
                     forwarders[id(pair)] = (app, index)
         self._forwarder_by_pair = forwarders
@@ -319,24 +317,19 @@ class Deployment:
         - the wire (a Baseline physical port) or the NIC's fabric
           uplink: the remaining chain (wire occupancy, taps, sink) is
           analytic in member timestamps -- no bound (``inf``);
-        - a vhost path: two crossings plus the tenant forwarder's base
-          cost, after which the members re-enter the bridge; one
-          crossing when the forwarder is a Linux bridge that still has
-          to learn the header's source (it replays such members per
-          frame, at their own timestamps) or is unknown;
         - another mediation-bridge VF, or any receiver without a batch
           handler (whose fallback schedules per-member events at their
           timestamps): two PCIe DMAs + the VEB hop;
         - a batched tenant app that may forward back into the chain:
           four DMAs + two VEB hops (its re-entry into the NIC is the
           earliest following admission point);
-        - a rate-limited egress VF, or an egress it cannot classify: 0
-          -- the policer is stateful in per-frame arrival times, so
-          flush at every finish wake.
+        - a rate-limited egress VF: 0 -- the policer is stateful in
+          per-frame arrival times, so flush at every finish wake;
+        - an egress it cannot classify (a vhost path, whose plans fuse
+          instead once warm): 0.
 
         Results are memoized per (bridge, header, egress set) and
-        revalidated against the VEB/policer/filter and Linux-bridge
-        epochs.
+        revalidated against the VEB/policer/filter epochs.
         """
         from repro.sriov.nic import VEB_LATENCY
         from repro.sriov.pcie import DMA_LATENCY
@@ -356,12 +349,10 @@ class Deployment:
                 continue
             if id(port.pair) in self._wire_pair_ids:
                 continue
-            peer = self._vhost_peer.get(id(port.pair))
-            if peer is not None:
-                margin = min(margin, self._vhost_margin(*peer, frame))
-                continue
             entry = self._pair_vf.get(id(port.pair))
             if entry is None:
+                # Egress we cannot classify (e.g. a vhost path): no
+                # slack assumed, flush at every wake.
                 margin = 0.0
                 break
             nic_port, vf = entry
@@ -385,30 +376,11 @@ class Deployment:
         self._margin_cache[key] = margin
         return margin
 
-    def _vhost_margin(self, path: VhostPath, guest: PortPair,
-                      frame) -> float:
-        """Transit floor from a vhost egress back to a timestamped
-        admission point (see :meth:`_plan_flush_margin`), shrunk so
-        that float rounding can never make a flush late."""
-        from repro.vswitch.l2fwd import L2FWD_CYCLES
-        crossing = path.costs.latency
-        floor = crossing
-        app, index = self._forwarder_by_pair.get(id(guest), (None, None))
-        if guest.rx._batch_handler is not None:
-            if isinstance(app, L2Fwd):
-                floor = 2 * crossing + L2FWD_CYCLES / app.freq_hz
-            elif (isinstance(app, LinuxBridge)
-                  and not app.learns(frame.src_mac, index)):
-                floor = 2 * crossing + app.delay
-        return floor * (1.0 - 1e-6)
-
     def _check_epochs(self) -> None:
-        """Invalidate cached margins/routes when NIC config or a Linux
-        bridge's MAC table changed."""
+        """Invalidate cached margins/routes when NIC config changed."""
         nic = self.server.nic
         epoch = (tuple((p.veb.epoch, p.policer_epoch) for p in nic.ports),
-                 nic.filters.epoch,
-                 sum(app.epoch for app in self._linux_bridges))
+                 nic.filters.epoch)
         if epoch != self._margin_epoch:
             self._margin_cache.clear()
             self._route_cache.clear()
@@ -452,10 +424,10 @@ class Deployment:
         if route is not None:
             self._route_cache[key] = route
         elif not retryable:
-            # A cold downstream template/flow cache/Linux-bridge entry
-            # warms up within the flow's first bursts; every other
-            # failure is config-stable until an epoch bump, so the
-            # negative result is cacheable.
+            # A cold downstream template/flow cache warms up within the
+            # flow's first bursts and a Linux bridge's table follows
+            # traffic; every other failure is config-stable until an
+            # epoch bump, so the negative result is cacheable.
             self._route_cache[key] = _NO_FUSE
         return route, retryable
 
@@ -556,11 +528,12 @@ class Deployment:
                 return None, False
             app, in_index = forwarder
             if isinstance(app, LinuxBridge):
-                if app.learns(frame.src_mac, in_index):
-                    return None, True  # the flow's first frames learn it
+                # Its table moves with traffic, not config: a learn
+                # still due, or a decision other than one port, retries.
                 outs, _ = app.decide(in_index, frame.dst_mac)
-                if outs is None or len(outs) != 1:
-                    return None, False
+                if (app.learns(frame.src_mac, in_index)
+                        or outs is None or len(outs) != 1):
+                    return None, True
                 legs.append(app.delay)
                 pair = app._ports[outs[0]]
                 continue

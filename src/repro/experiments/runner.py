@@ -53,7 +53,7 @@ def experiment_plan(quick: bool = True, seed: int = 0) -> ExperimentPlan:
 
     Callers that want per-experiment bookkeeping (the CLI's cache-efficacy
     lines diff the obs registry around each thunk) iterate this instead
-    of :func:`run_everything`, which is now a thin fold over it.
+    of handing it to :func:`run_plan`.
     """
     latency_duration = 0.15 if quick else 0.5
     plan: ExperimentPlan = [
@@ -99,18 +99,6 @@ def extension_plan(quick: bool = True, seed: int = 0) -> ExperimentPlan:
     ]
 
 
-def run_everything(quick: bool = True, seed: int = 0) -> Dict[str, Table]:
-    """All tables of the paper's evaluation, keyed by experiment id."""
-    return {key: thunk()
-            for key, thunk in experiment_plan(quick=quick, seed=seed)}
-
-
-def run_extensions(quick: bool = True, seed: int = 0) -> Dict[str, Table]:
-    """The beyond-the-paper experiments (DESIGN.md section 7)."""
-    return {key: thunk()
-            for key, thunk in extension_plan(quick=quick, seed=seed)}
-
-
 def run_plan(plan: ExperimentPlan) -> Tuple[Dict[str, Table], str]:
     """Run ``plan`` in order: its tables by id, and their renders joined
     in plan order (the text ``tests/goldens/`` pins byte for byte)."""
@@ -119,24 +107,14 @@ def run_plan(plan: ExperimentPlan) -> Tuple[Dict[str, Table], str]:
     return tables, text + "\n"
 
 
-def render_everything(quick: bool = True,
-                      include_extensions: bool = False,
-                      seed: int = 0) -> str:
-    tables = run_everything(quick=quick, seed=seed)
-    if include_extensions:
-        tables.update(run_extensions(quick=quick, seed=seed))
-    chunks: List[str] = []
-    for key in sorted(tables):
-        chunks.append(tables[key].render())
-    chunks.append(table1_survey.render_full())
-    return "\n\n".join(chunks)
-
-
 def main() -> None:
     import sys
-    print(render_everything(
-        quick=True,
-        include_extensions="--extensions" in sys.argv))
+    plan = experiment_plan(quick=True)
+    if "--extensions" in sys.argv:
+        plan += extension_plan(quick=True)
+    _, text = run_plan(plan)
+    print(text)
+    print(table1_survey.render_full())
 
 
 if __name__ == "__main__":
