@@ -465,7 +465,8 @@ class Deployment:
         (fabric-bound -- the downstream station is the *last*
         timestamp-sensitive point) or is itself fused (``route.next``:
         the chain continues).  Returns ``(route | None, retryable)``;
-        retryable failures are the ones the flow's first bursts cure.
+        retryable failures are the ones traffic can cure: cold
+        downstream caches, and any Linux-bridge table state.
         """
         from repro.sim.hashjit import HashJitter
         from repro.sriov.filters import FilterAction, SpoofCheck
