@@ -38,7 +38,6 @@ from repro.net.interfaces import Port, PortPair
 from repro.net.link import Link
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
 from repro.sriov.vf import FunctionKind, VirtualFunction
 from repro.units import GIB, MIB
 from repro.vswitch.datapath import DatapathMode, PortClass
@@ -676,22 +675,22 @@ def build_deployment(
 
     ``site_id`` distinguishes servers in a multi-server cloud: it
     offsets the tenant subnets, VNIs, and the MAC pool so two servers'
-    deployments never collide on the fabric.
+    deployments never collide on the fabric.  ``seed`` changes nothing
+    the build makes: every timing draw in the data plane is keyed by
+    component name and frame id (:class:`~repro.sim.hashjit.HashJitter`).
     """
     spec.validate_scenario(scenario)
-    builder = _Builder(spec, scenario, sim, calibration, seed, server,
-                       site_id)
+    builder = _Builder(spec, scenario, sim, calibration, server, site_id)
     return builder.build()
 
 
 class _Builder:
-    def __init__(self, spec, scenario, sim, calibration, seed, server,
+    def __init__(self, spec, scenario, sim, calibration, server,
                  site_id=0):
         self.spec: DeploymentSpec = spec
         self.scenario: TrafficScenario = scenario
         self.sim = sim if sim is not None else Simulator()
         self.calibration: Calibration = calibration
-        self.rng = RngStreams(seed)
         self.server = server if server is not None else Server(
             self.sim, freq_hz=calibration.cpu_freq_hz,
             name=f"dut{site_id}" if site_id else "dut",
@@ -860,7 +859,6 @@ class _Builder:
                 mode=self._dpdk_mode(),
                 sim=self.sim,
                 costs=self._bridge_costs(),
-                rng=self.rng.stream(f"bridge.vsw{k}"),
                 cache=self._flow_cache(),
             )
             vm.install_app("bridge", bridge)
@@ -907,8 +905,7 @@ class _Builder:
         for t in range(spec.num_tenants):
             vm = d.tenant_vms[t]
             app = L2Fwd(name=f"tenant{t}.l2fwd", sim=self.sim,
-                        freq_hz=self.calibration.cpu_freq_hz,
-                        rng=self.rng.stream(f"l2fwd.t{t}"))
+                        freq_hz=self.calibration.cpu_freq_hz)
             vm.install_app("l2fwd", app)
             indices = {}
             for p in range(spec.nic_ports):
@@ -937,7 +934,6 @@ class _Builder:
             mode=self._dpdk_mode(),
             sim=self.sim,
             costs=self._bridge_costs(),
-            rng=self.rng.stream("bridge.host"),
             cache=self._flow_cache(),
         )
         d.bridges.append(bridge)
@@ -1015,8 +1011,7 @@ class _Builder:
             sides = [0, 1]
             if spec.user_space:
                 app = L2Fwd(name=f"tenant{t}.l2fwd", sim=self.sim,
-                            freq_hz=self.calibration.cpu_freq_hz,
-                            rng=self.rng.stream(f"l2fwd.t{t}"))
+                            freq_hz=self.calibration.cpu_freq_hz)
                 indices = {s: app.add_port(d.vhost_paths[(t, s)].guest_side)
                            for s in sides}
                 if len(sides) == 1:
@@ -1031,8 +1026,7 @@ class _Builder:
                 self.oplog.record("install-app", vm.name, "DPDK l2fwd (vhost-user)")
             else:
                 app = LinuxBridge(name=f"tenant{t}.br0", sim=self.sim,
-                                  freq_hz=self.calibration.cpu_freq_hz,
-                                  rng=self.rng.stream(f"linuxbr.t{t}"))
+                                  freq_hz=self.calibration.cpu_freq_hz)
                 for s in sides:
                     app.add_port(d.vhost_paths[(t, s)].guest_side)
                 vm.install_app("linux-bridge", app)

@@ -10,7 +10,8 @@ gives measurement code the same vantage point the DAG card had.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.net.interfaces import Port
@@ -185,46 +186,83 @@ class Link:
         self._settle(_INF if watermark is None else watermark())
 
     def _settle(self, upto: float) -> None:
-        """Serialize held members ready at or before ``upto``."""
-        held = self._held
-        prop = self.propagation_delay
-        busy = self._busy_until
-        while held and held[0][0] <= upto:
-            _, seq, batch, i = heapq.heappop(held)
-            # The run ends where the next held batch's member would
-            # come first (equal ready times: earlier hand-off first),
-            # or past the watermark.
-            if held and held[0][0] <= upto:
-                stop_t, stop_seq = held[0][0], held[0][1]
-            else:
-                stop_t, stop_seq = upto, seq
-            ts = batch.ts
-            n = len(ts)
-            ser = (batch.frame.wire_size() + 20) * 8.0 / self.bandwidth_bps
-            starts = []
-            arrivals = []
-            j = i
-            while j < n:
-                t = ts[j]
-                if t > stop_t or (t == stop_t and seq > stop_seq):
-                    break
-                start = t if t > busy else busy
-                starts.append(start)
-                busy = start + ser
-                arrivals.append(busy + prop)
-                j += 1
-            if j < n:
-                heapq.heappush(held, (ts[j], seq, batch, j))
-            if i == 0 and j == n:
+        """Serialize held members ready at or before ``upto``.
+
+        Each held batch with settled members goes out as one run: one
+        tap notification and one delivery per batch per call, however
+        often the wire switched between batches.
+        """
+        for batch, first, starts, arrivals, _ in \
+                self._chain(self._held, upto).values():
+            if first == 0 and len(arrivals) == len(batch):
                 run = batch
                 run.ts = arrivals
             else:
-                run = FrameBatch(batch.frame, batch.frame_ids[i:j], arrivals,
-                                 batch.created_at[i:j])
-            self._busy_until = busy
+                end = first + len(arrivals)
+                run = FrameBatch(batch.frame, batch.frame_ids[first:end],
+                                 arrivals, batch.created_at[first:end])
             if self.tap is not None:
                 self.tap._notify_batch(run, starts)
             self._deliver_batch(run)
+
+    def _chain(self, heap: List[Tuple[float, int, FrameBatch, int]],
+               upto: float) -> Dict[int, list]:
+        """Serialize the members of ``heap``'s batches ready at or
+        before ``upto`` through the wire's busy chain.
+
+        ``heap`` holds (next member's ready time, tie-break, batch,
+        index of that member), one entry per batch; members go out in
+        (ready time, tie-break) order.  A batch keeps the wire while
+        its next member comes before every other batch's, so the heap
+        moves once per run, not once per member.  Entries of batches
+        with members left are updated in place.  Returns ``{tie-break:
+        [batch, index of its first member sent, wire-entry times,
+        arrival times, serialization time]}`` for the batches that sent
+        members, in the order each first did.
+        """
+        prop = self.propagation_delay
+        busy = self._busy_until
+        sent: Dict[int, list] = {}
+        while heap and heap[0][0] <= upto:
+            t, tie, batch, i = heap[0]
+            size = len(heap)
+            stop_t, stop_tie = upto, _INF
+            if size > 1:
+                head = heap[1]
+                if size > 2 and heap[2] < head:
+                    head = heap[2]
+                if head[0] <= upto:
+                    stop_t, stop_tie = head[0], head[1]
+            out = sent.get(tie)
+            if out is None:
+                out = sent[tie] = [
+                    batch, i, [], [],
+                    (batch.frame.wire_size() + 20) * 8.0 / self.bandwidth_bps]
+            _, _, starts, arrivals, ser = out
+            ts = batch.ts
+            n = len(ts)
+            # The head member goes; members ready at stop_t follow it
+            # only if this batch wins the tie.
+            j = i + 1
+            if j < n and (ts[j] < stop_t or (ts[j] == stop_t
+                                             and tie < stop_tie)):
+                j = (bisect_left if tie > stop_tie else bisect_right)(
+                    ts, stop_t, j + 1)
+                run = ts[i:j]
+            else:
+                run = (t,)
+            for t in run:
+                if t > busy:
+                    busy = t
+                starts.append(busy)
+                busy += ser
+                arrivals.append(busy + prop)
+            if j < n:
+                heapq.heapreplace(heap, (ts[j], tie, batch, j))
+            else:
+                heapq.heappop(heap)
+        self._busy_until = busy
+        return sent
 
     def send_interleaved(self, batches: List[FrameBatch]) -> None:
         """Serialize several batches whose timestamps interleave.
@@ -238,36 +276,22 @@ class Link:
         own first arrival.  Ties break by batch position, matching the
         generator's flow-index tie-break.
         """
-        prop = self.propagation_delay
-        busy = self._busy_until
-        sers = []
-        origs = []
-        starts_per: List[List[float]] = []
         heap = []
         for b, batch in enumerate(batches):
-            wire = batch.frame.wire_size()
-            sers.append((wire + 20) * 8.0 / self.bandwidth_bps)
-            origs.append(list(batch.ts))
-            starts_per.append([0.0] * len(batch))
-            self.tx_frames += len(batch)
-            self.tx_bytes += wire * len(batch)
-            if len(batch):
-                heap.append((origs[b][0], b, 0))
+            n = len(batch)
+            self.tx_frames += n
+            self.tx_bytes += batch.frame.wire_size() * n
+            if n:
+                heap.append((batch.ts[0], b, batch, 0))
         heapq.heapify(heap)
-        while heap:
-            t, b, i = heapq.heappop(heap)
-            start = t if t > busy else busy
-            starts_per[b][i] = start
-            busy = start + sers[b]
-            batches[b].ts[i] = busy + prop
-            if i + 1 < len(origs[b]):
-                heapq.heappush(heap, (origs[b][i + 1], b, i + 1))
-        self._busy_until = busy
+        sent = self._chain(heap, _INF)
         for b, batch in enumerate(batches):
-            if not len(batch):
+            out = sent.get(b)
+            if out is None:
                 continue
+            batch.ts = out[3]
             if self.tap is not None:
-                self.tap._notify_batch(batch, starts_per[b])
+                self.tap._notify_batch(batch, out[2])
             self.sim.schedule(batch.ts[0], self._deliver_batch, batch)
 
     def _deliver_batch(self, batch: FrameBatch) -> None:

@@ -20,9 +20,12 @@ from repro.net.addresses import IPv4Address, MacAddress
 _frame_ids = itertools.count()
 
 
-def next_frame_id() -> int:
-    """Allocate the next frame id from the shared counter."""
-    return next(_frame_ids)
+def next_frame_ids(n: int) -> range:
+    """Allocate ``n`` consecutive frame ids from the shared counter."""
+    global _frame_ids
+    first = next(_frame_ids)
+    _frame_ids = itertools.count(first + n)
+    return range(first, first + n)
 
 
 def reset_frame_ids() -> None:
@@ -235,8 +238,7 @@ class FrameBatch:
     def advance(self, delay: float) -> None:
         """Move every member forward by the same analytic ``delay``."""
         ts = self.ts
-        for i in range(len(ts)):
-            ts[i] += delay
+        ts[:] = [t + delay for t in ts]
 
     def advance_per_member(self, delays: List[float]) -> None:
         """Per-member delays (jittered hops): advance and re-sort."""

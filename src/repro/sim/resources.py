@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
 #: Flush margin for groups whose post-service chain never reaches a
@@ -13,10 +15,10 @@ from repro.sim.kernel import Simulator
 #: is unconstrained, so hold until the group completes.
 _INF = float("inf")
 
-#: Registered members a lagging batch station may hold unreplayed: past
+#: Registered members a lagging batch station may hold unadmitted: past
 #: this, the next registration replays up to the present.  Bounds the
-#: memory a long lookahead keeps alive (pending entries and the groups
-#: they pin) without changing any outcome.
+#: memory a long lookahead keeps alive (the groups pending entries pin)
+#: without changing any outcome.
 _MAX_LAG = 2048
 
 
@@ -152,9 +154,9 @@ class BatchFairStation:
     The batched fast path computes a whole burst's arrival timestamps in
     one event, so arrivals reach the station *early*: the event that
     registers them fires at or before the earliest member timestamp.
-    The station keeps those future arrivals in a pending min-heap and
-    **admits** them (rx-ring occupancy check, drop-tail) only when its
-    replay of simulated time reaches them.
+    The station keeps those future arrivals pending and **admits** them
+    (rx-ring occupancy check, drop-tail) only when its replay of
+    simulated time reaches them.
 
     The station moves in *steps*, one at each service finish and, while
     idle, one at the earliest pending timestamp:
@@ -169,6 +171,19 @@ class BatchFairStation:
     occupancy is only read by admissions, no service starts while the
     server is busy, and ring space frees only at service *starts* -- so
     the admission sequence commutes across the busy interval.
+
+    **Cursor admission.**  A registration is one pending entry, not one
+    per member: a cursor into the group's ``sub_ts``, sorted once at
+    registration (jitter can reorder members).  Member ``i`` of a
+    registration made when ``_seq`` was ``base`` orders as
+    ``(sub_ts[i], base + i)``, as if each member had its own heap entry,
+    so ties break by registration, then index.  An admission takes the
+    head group's members for as long as they stay ahead of the next
+    group's head.  A full ring stays full until the next service start,
+    so the due members of a group that finds its ring full drop as one
+    range (``group.drop_range(members)``).  The group's last member is
+    never in such a range: it drops on its own, at its own turn, since
+    that drop can complete the group and flush it.
 
     Served members are handed back to their *group* (one group per
     submitted batch), which re-accumulates them into a sub-batch for the
@@ -199,8 +214,8 @@ class BatchFairStation:
     station, or a flush reaching a timestamped point.  Members that only
     re-enter this station or leave for the fabric have lookahead
     ``inf``.  Waking earlier is always exact, only slower, so a station
-    that holds ``_MAX_LAG`` unreplayed registrations also replays at the
-    next one.  Code that reads the station mid-run calls
+    that holds more than ``_MAX_LAG`` unadmitted members also replays at
+    the next registration.  Code that reads the station mid-run calls
     :meth:`catch_up` first.
 
     Net effect at saturation: one wake per lookahead window, versus one
@@ -228,9 +243,16 @@ class BatchFairStation:
         self._ring_order: "list[Deque[Tuple[Any, int]]]" = []
         self._last = -1
         self._drops = 0
-        #: Registered-but-not-yet-admitted members: (ts, seq, group, i).
-        self._pending: List[Tuple[float, int, Any, int]] = []
+        #: One entry per registration with members left to admit:
+        #: (ts, seq, group, pos, cursor).  ``cursor`` is None for a
+        #: one-member registration (``pos`` is then the member index),
+        #: else (sorted ts, sort order or None when already ascending,
+        #: base seq, last position), and (ts, seq) are those of sorted
+        #: position ``pos``.
+        self._pending: List[Tuple[float, int, Any, int, Any]] = []
         self._seq = 0
+        #: Registered members not yet admitted or dropped.
+        self._lag = 0
         self._inflight: Optional[Tuple[Any, int]] = None
         self._finish_at = 0.0
         self._wake_event = None
@@ -254,23 +276,39 @@ class BatchFairStation:
     def submit_group(self, group: Any) -> None:
         """Register every member of ``group`` as a future arrival.
 
-        ``group`` carries parallel ``sub_ts`` (arrival timestamps, the
-        current event time must not exceed their minimum) and ``svc``
-        (service times) lists plus a ``key`` (rx ring id), a flush
-        ``margin`` and a ``lookahead`` (at most the margin when a flush
-        reaches a timestamped point: the flush is then an outside
-        effect), and receives ``commit(i, t)`` / ``drop(i)`` /
-        ``is_done()`` / ``flush(now)`` / ``oldest_commit()`` calls.
+        ``group`` carries parallel ``sub_ts`` (arrival timestamps, in any
+        order; none may lie behind the station's replay clock, see
+        :meth:`_check_ts`) and ``svc`` (service times) lists plus a
+        ``key`` (rx ring id), a flush ``margin`` and a ``lookahead`` (at
+        most the margin when a flush reaches a timestamped point: the
+        flush is then an outside effect), and receives ``commit(i, t)``
+        / ``drop(i)`` / ``drop_range(members)`` / ``is_done()`` /
+        ``flush(now)`` / ``oldest_commit()`` calls.  ``drop_range``
+        gets the indices of several members ring-dropped at once; it
+        never includes the member admitted last, so it never completes
+        the group.
         """
-        pending = self._pending
-        seq = self._seq
-        for i, t in enumerate(group.sub_ts):
-            heapq.heappush(pending, (t, seq, group, i))
-            seq += 1
-        n = seq - self._seq
-        self._seq = seq
-        if n:
-            self._add(group.lookahead, n)
+        sub_ts = group.sub_ts
+        n = len(sub_ts)
+        if not n:
+            return
+        base = seq = self._seq
+        if n == 1:
+            ts = sub_ts
+            cursor = None
+        else:
+            ts = sorted(sub_ts)
+            order = None
+            if ts != sub_ts:
+                # Stable: equal timestamps keep index (= seq) order.
+                order = sorted(range(n), key=sub_ts.__getitem__)
+                seq += order[0]
+            cursor = (ts, order, base, n - 1)
+        self._check_ts(ts[0])
+        self._seq = base + n
+        heapq.heappush(self._pending, (ts[0], seq, group, 0, cursor))
+        self._lag += n
+        self._add(group.lookahead, n)
 
     def submit_member(self, group: Any, i: int, ts: float) -> None:
         """Register one future member of an *open* group.
@@ -283,9 +321,25 @@ class BatchFairStation:
         calls; it must not report ``is_done`` until its upstream seals
         it.
         """
-        heapq.heappush(self._pending, (ts, self._seq, group, i))
+        self._check_ts(ts)
+        heapq.heappush(self._pending, (ts, self._seq, group, i, None))
         self._seq += 1
+        self._lag += 1
         self._add(group.lookahead, 1)
+
+    def _check_ts(self, ts: float) -> None:
+        """Reject a member registered behind the station's replay clock.
+
+        Admission would take it at the next step, out of the per-frame
+        order.  Inside a wake the clock is the step being replayed (a
+        station's own re-entrant registrations lag ``sim.now``);
+        otherwise it is ``sim.now``.
+        """
+        clock = self._clock if self._in_wake else self.sim.now
+        if ts < clock:
+            raise SimulationError(
+                f"{self.name}: member registered at t={ts}, behind the "
+                f"station clock {clock}")
 
     def catch_up(self) -> None:
         """Replay every step due by now.
@@ -362,8 +416,8 @@ class BatchFairStation:
             self._lookahead = lookahead
         if not self._in_wake:
             at = self._next_wake()
-            pending = self._pending
-            if len(pending) > _MAX_LAG and pending[0][0] <= self.sim.now:
+            if (self._lag > _MAX_LAG
+                    and self._pending[0][0] <= self.sim.now):
                 at = self.sim.now
             if self._wake_event is None or at < self._wake_time:
                 self._arm(at)
@@ -411,6 +465,7 @@ class BatchFairStation:
         upto = self.sim.now
         pending = self._pending
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         rings = self._rings
         ring_order = self._ring_order
         capacity = self.queue_capacity
@@ -420,6 +475,7 @@ class BatchFairStation:
         inflight = self._inflight
         finish_at = self._finish_at
         served = 0
+        admitted = 0
         busy_time = self.busy_time
         while True:
             if inflight is not None:
@@ -454,29 +510,71 @@ class BatchFairStation:
                 if group.is_done():
                     group.flush(now)
                     self._clean(dirty, group)
-            # 2. Admit arrivals that are due, in timestamp order.
-            #    Drop-tail losses are reported to the group: a drop can
-            #    be the event that completes it.
+            # 2. Admit arrivals that are due, in (timestamp, seq) order,
+            #    a run of the head group's members at a time.  Drop-tail
+            #    losses are reported to the group: a drop can be the
+            #    event that completes it.
             while pending and pending[0][0] <= now:
-                _, _, group, i = heappop(pending)
+                _, seq, group, pos, cursor = pending[0]
                 ring = rings.get(group.key)
                 if ring is None:
                     ring = rings[group.key] = deque()
                     ring_order.append(ring)
-                if capacity is None or len(ring) < capacity:
-                    ring.append((group, i))
+                if cursor is None:
+                    heappop(pending)
+                    admitted += 1
+                    if capacity is None or len(ring) < capacity:
+                        ring.append((group, pos))
+                    else:
+                        self._drop(group, pos, now, dirty)
                     continue
-                self._drops += 1
-                lookahead = group.lookahead
-                left = present[lookahead] - 1
-                if left:
-                    present[lookahead] = left
-                else:
-                    self._forget(lookahead)
-                group.drop(i)
-                if group.is_done() and group.oldest_commit() is not None:
-                    group.flush(now)
-                    self._clean(dirty, group)
+                ts, order, base, last = cursor
+                start = pos
+                i = seq - base
+                stop_t = None
+                while True:
+                    if capacity is None or len(ring) < capacity:
+                        ring.append((group, i))
+                        pos += 1
+                    elif pos < last:
+                        # The ring stays full until the next service
+                        # start: every due member but the last drops,
+                        # and the group stays incomplete (its last
+                        # member is still present).
+                        end = bisect_right(ts, now, pos + 1, last)
+                        self._drops += end - pos
+                        present[group.lookahead] -= end - pos
+                        group.drop_range(range(pos, end) if order is None
+                                         else order[pos:end])
+                        pos = end
+                    else:
+                        heappop(pending)
+                        admitted += 1
+                        self._drop(group, i, now, dirty)
+                        break
+                    if pos > last:
+                        heappop(pending)
+                        break
+                    t = ts[pos]
+                    i = pos if order is None else order[pos]
+                    if t <= now:
+                        if stop_t is None:
+                            # The run ends where the next registration's
+                            # head comes first.
+                            stop_t, stop_seq = now, _INF
+                            size = len(pending)
+                            if size > 1:
+                                head = pending[1]
+                                if size > 2 and pending[2] < head:
+                                    head = pending[2]
+                                if head[0] <= now:
+                                    stop_t, stop_seq = head[0], head[1]
+                        if t < stop_t or (t == stop_t
+                                          and base + i < stop_seq):
+                            continue
+                    heapreplace(pending, (t, base + i, group, pos, cursor))
+                    break
+                admitted += pos - start
             # 3. Start the next service (round-robin across rings).
             n = len(ring_order)
             index = self._last
@@ -531,6 +629,8 @@ class BatchFairStation:
         self.busy = inflight is not None
         self.served += served
         self.busy_time = busy_time
+        # Admitted or dropped; re-entrant registrations added theirs.
+        self._lag -= admitted
         self._in_wake = False
         # 5. Arm the next wake.
         deadline = _INF
@@ -543,6 +643,22 @@ class BatchFairStation:
         at = self._next_wake()
         if at is not None:
             self._arm(at)
+
+    def _drop(self, group: Any, i: int, now: float,
+              dirty: List[Any]) -> None:
+        """Ring-drop member ``i``; flush the group if that completed it."""
+        self._drops += 1
+        lookahead = group.lookahead
+        present = self._present
+        left = present[lookahead] - 1
+        if left:
+            present[lookahead] = left
+        else:
+            self._forget(lookahead)
+        group.drop(i)
+        if group.is_done() and group.oldest_commit() is not None:
+            group.flush(now)
+            self._clean(dirty, group)
 
     def _clean(self, dirty: List[Any], group: Any) -> None:
         """Take a group that just flushed off the dirty list."""

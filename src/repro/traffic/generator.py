@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.link import Link
-from repro.net.packet import Frame, FrameBatch, IpProto, next_frame_id
+from repro.net.packet import Frame, FrameBatch, IpProto, next_frame_ids
 from repro.sim.kernel import Simulator
 
 
@@ -177,21 +177,48 @@ class LoadGenerator:
         """
         assert self._stop_at is not None
         schedule = self._schedule
+        stop = self._stop_at
+        burst = self.burst
         emitted = 0
         per_flow: dict = {}
-        while schedule and emitted < self.burst:
+        # (flow's id list, merged index of the run's first frame and
+        # one past its last): ids are drawn per burst, in merged order.
+        runs = []
+        while schedule and emitted < burst:
             t, i, flow = schedule[0]
-            if t >= self._stop_at:
+            if t >= stop:
                 heapq.heappop(schedule)
                 continue
+            # The flow keeps emitting while its next frame comes before
+            # the next flow's head in (time, flow index) order.
+            size = len(schedule)
+            head_t, head_i = stop, -1
+            if size > 1:
+                head = schedule[1]
+                if size > 2 and schedule[2] < head:
+                    head = schedule[2]
+                if head[0] < stop:
+                    head_t, head_i = head[0], head[1]
             data = per_flow.get(i)
             if data is None:
                 data = (flow, [], [])
                 per_flow[i] = data
-            data[1].append(next_frame_id())
-            data[2].append(t)
-            emitted += 1
-            heapq.heapreplace(schedule, (t + 1.0 / flow.rate_pps, i, flow))
+            ts = data[2]
+            gap = 1.0 / flow.rate_pps
+            first = emitted
+            while True:
+                ts.append(t)
+                emitted += 1
+                t = t + gap
+                # head_t <= stop: this also ends the run at the stop.
+                if (emitted == burst or t > head_t
+                        or (t == head_t and i > head_i)):
+                    break
+            runs.append((data[1], first, emitted))
+            heapq.heapreplace(schedule, (t, i, flow))
+        ids = next_frame_ids(emitted)
+        for out, lo, hi in runs:
+            out.extend(ids[lo:hi])
         if per_flow:
             batches = []
             for i in sorted(per_flow):

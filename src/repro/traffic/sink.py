@@ -11,6 +11,7 @@ their timestamps so experiments can cut evaluation windows (e.g. the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -52,49 +53,124 @@ class LatencySample:
         return self.t_out - self.t_in
 
 
+#: Captures a log may hold out of order before it sorts them in.
+_SORT_SLACK = 512
+
+
+class _CaptureLog:
+    """Capture tuples, capture time first, read back in capture order.
+
+    Captures come in runs, each in capture order.  A held egress link
+    reports one run per batch per settle, and the runs of one settle
+    interleave on the wire, so a run may start before captures already
+    logged.  ``_log[:_unsorted]`` is in capture order and precedes
+    everything after it (``_unsorted`` None: the whole log is in
+    order); the tail is sorted in at a read, or once it holds more than
+    :data:`_SORT_SLACK` captures.  Capture times strictly increase on
+    one wire, so the sorted log is exactly the per-frame sequence.
+    """
+
+    __slots__ = ("_log", "_unsorted")
+
+    def __init__(self) -> None:
+        self._log: list = []
+        self._unsorted: Optional[int] = None
+
+    def append(self, capture: tuple) -> None:
+        """A capture later than every one logged (frame by frame)."""
+        self._log.append(capture)
+
+    def extend(self, run: list) -> None:
+        """A non-empty run of captures in capture order."""
+        log = self._log
+        first = run[0]
+        unsorted = self._unsorted
+        if unsorted is None:
+            if not log or first > log[-1]:
+                log.extend(run)
+                return
+            unsorted = len(log)
+        if unsorted and first < log[unsorted - 1]:
+            unsorted = bisect_left(log, first, 0, unsorted)
+        log.extend(run)
+        if len(log) - unsorted > _SORT_SLACK:
+            self._sort(unsorted)
+        else:
+            self._unsorted = unsorted
+
+    def ordered(self) -> list:
+        """The log, in capture order."""
+        if self._unsorted is not None:
+            self._sort(self._unsorted)
+        return self._log
+
+    def _sort(self, start: int) -> None:
+        # Capture times are unique: tuples compare on them alone.
+        log = self._log
+        tail = log[start:]
+        tail.sort()
+        log[start:] = tail
+        self._unsorted = None
+
+
 class LatencyMonitor:
-    """Pairs frame sightings on the ingress and egress taps."""
+    """Pairs frame sightings on the ingress and egress taps.
+
+    ``samples`` and ``egress_times`` read in capture (egress timestamp)
+    order, however the egress tap's batches interleave.
+    """
 
     def __init__(self, ingress_tap: OpticalTap, egress_tap: OpticalTap) -> None:
         self._pending: Dict[int, Tuple[int, float]] = {}
-        self.samples: List[LatencySample] = []
-        self.egress_times: List[Tuple[float, int]] = []  # (t, flow_id)
+        #: (t_out, flow_id, t_in) per paired frame.
+        self._samples = _CaptureLog()
+        #: (t, flow_id) per egress frame.
+        self._egress = _CaptureLog()
         self.unmatched_egress = 0
         ingress_tap.observe(self._on_ingress, batch=self._on_ingress_batch)
         egress_tap.observe(self._on_egress, batch=self._on_egress_batch)
+
+    @property
+    def samples(self) -> List[LatencySample]:
+        """One latency sample per paired frame, in capture order (a new
+        list at every read)."""
+        return [LatencySample(flow_id, t_in, t_out)
+                for t_out, flow_id, t_in in self._samples.ordered()]
+
+    @property
+    def egress_times(self) -> List[Tuple[float, int]]:
+        """(capture time, flow id) of every egress frame, in order."""
+        return self._egress.ordered()
 
     def _on_ingress(self, frame: Frame, now: float) -> None:
         self._pending[frame.frame_id] = (frame.flow_id, now)
 
     def _on_egress(self, frame: Frame, now: float) -> None:
-        self.egress_times.append((now, frame.flow_id))
+        self._egress.append((now, frame.flow_id))
         entry = self._pending.pop(frame.frame_id, None)
         if entry is None:
             self.unmatched_egress += 1
             return
         flow_id, t_in = entry
-        self.samples.append(LatencySample(flow_id=flow_id, t_in=t_in, t_out=now))
+        self._samples.append((now, flow_id, t_in))
 
     def _on_ingress_batch(self, batch: FrameBatch, starts: List[float]) -> None:
         flow_id = batch.frame.flow_id
-        pending = self._pending
-        for i, fid in enumerate(batch.frame_ids):
-            pending[fid] = (flow_id, starts[i])
+        self._pending.update(
+            zip(batch.frame_ids, [(flow_id, now) for now in starts]))
 
     def _on_egress_batch(self, batch: FrameBatch, starts: List[float]) -> None:
-        egress = self.egress_times
-        samples = self.samples
-        pending = self._pending
+        if not starts:
+            return
         flow_id = batch.frame.flow_id
-        for i, fid in enumerate(batch.frame_ids):
-            now = starts[i]
-            egress.append((now, flow_id))
-            entry = pending.pop(fid, None)
-            if entry is None:
-                self.unmatched_egress += 1
-            else:
-                samples.append(LatencySample(flow_id=entry[0], t_in=entry[1],
-                                             t_out=now))
+        self._egress.extend([(now, flow_id) for now in starts])
+        pop = self._pending.pop
+        entries = [pop(fid, None) for fid in batch.frame_ids]
+        found = [(now, entry[0], entry[1])
+                 for entry, now in zip(entries, starts) if entry is not None]
+        self.unmatched_egress += len(entries) - len(found)
+        if found:
+            self._samples.extend(found)
 
     # -- windowed reductions ------------------------------------------------
 
@@ -102,13 +178,13 @@ class LatencyMonitor:
                             flow_id: Optional[int] = None) -> List[float]:
         """One-way latencies of frames that *entered* in [t0, t1)."""
         return [
-            s.latency for s in self.samples
-            if t0 <= s.t_in < t1 and (flow_id is None or s.flow_id == flow_id)
+            t_out - t_in for t_out, fid, t_in in self._samples.ordered()
+            if t0 <= t_in < t1 and (flow_id is None or fid == flow_id)
         ]
 
     def delivered_in_window(self, t0: float, t1: float,
                             flow_id: Optional[int] = None) -> int:
-        return sum(1 for t, fid in self.egress_times
+        return sum(1 for t, fid in self._egress.ordered()
                    if t0 <= t < t1 and (flow_id is None or fid == flow_id))
 
     def throughput_pps(self, t0: float, t1: float) -> float:

@@ -28,13 +28,17 @@ Concrete constants live in :mod:`repro.perfmodel.calibration`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sim.hashjit import HashJitter
 from repro.units import USEC
+
+_SITE_FIXED = HashJitter.SITE_FIXED_WAIT
+_SITE_SCHED = HashJitter.SITE_SCHED_WAIT
+_SITE_DRAIN = HashJitter.SITE_DRAIN_WAIT
+_SITE_ANOMALY = HashJitter.SITE_DRAIN_ANOMALY
 
 
 class DatapathMode(Enum):
@@ -95,20 +99,15 @@ class PassCosts:
 
 @dataclass
 class DatapathTiming:
-    """Latency components of one pass through a datapath.
+    """Latency of one pass through a datapath.
 
-    ``service`` occupies the core; the waits do not (they are pure
-    latency, overlappable across packets).
+    ``service`` occupies the core; ``wait`` (interrupt/softirq, drain
+    and scheduling waits, summed) does not: it is pure latency before
+    the pass reaches the core's rx ring, overlappable across packets.
     """
 
     service: float
-    fixed_wait: float = 0.0
-    sched_wait: float = 0.0
-    drain_wait: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.service + self.fixed_wait + self.sched_wait + self.drain_wait
+    wait: float = 0.0
 
 
 class DatapathModel:
@@ -130,62 +129,59 @@ class DatapathModel:
                     rewrites: bool, num_ports: int) -> float:
         return self.costs.pass_cycles(in_class, out_class, rewrites, num_ports)
 
+    def pass_wait(self, jitter: HashJitter, sharers: int,
+                  num_queues: int) -> Callable[[int], float]:
+        """The wait of a pass on a core share with ``sharers`` tenants
+        and the datapath spread over ``num_queues`` queues, as a
+        function of the pass's jitter key.
+
+        The kernel path waits for interrupt + softirq wakeup (mean
+        1.125x the nominal figure); the DPDK path for the poll/drain
+        interval, plus the multi-queue drain anomaly where it applies.
+        While K compartments time-share a core, a pass may also find
+        the core scheduled elsewhere for up to (K-1) timeslices.  Every
+        draw is keyed (``jitter.unit(key, site)``): a pure per-frame
+        function, identical no matter how passes are interleaved, which
+        is what lets the batched paths reproduce the per-frame oracle
+        bit for bit.  Per-frame, batched and fused passes all take
+        their waits from here, so the draws and the order of the sum
+        are the same everywhere.
+        """
+        unit = jitter.unit
+        costs = self.costs
+        kernel = self.mode == DatapathMode.KERNEL
+        fixed = costs.fixed_latency
+        drain = costs.drain_jitter
+        anomaly = 0.0 if kernel else self._anomaly_scale(num_queues)
+        span = (sharers - 1) * costs.sched_slice if sharers > 1 else 0.0
+
+        def wait(key: int) -> float:
+            if kernel:
+                total = fixed * (1.0 + 0.25 * unit(key, _SITE_FIXED))
+            else:
+                total = drain * unit(key, _SITE_DRAIN)
+                if anomaly:
+                    total += anomaly * (0.6 + 0.8 * unit(key, _SITE_ANOMALY))
+            if span:
+                total += span * unit(key, _SITE_SCHED)
+            return total
+
+        return wait
+
     def timing(
         self,
         cycles: float,
         effective_hz: float,
         sharers: int,
         num_queues: int,
-        rng: Optional[random.Random] = None,
-        jitter: Optional[HashJitter] = None,
-        key: int = 0,
+        jitter: HashJitter,
+        key: int,
     ) -> DatapathTiming:
-        """Latency of one pass on a core share with ``sharers`` tenants
-        of the core and the datapath spread over ``num_queues`` queues.
-
-        Variance comes either from ``rng`` (draw-order dependent, the
-        historical behaviour) or from ``jitter`` keyed by ``key`` (the
-        frame id): a pure per-frame function, identical no matter how
-        passes are interleaved, which is what lets the batched fast
-        path reproduce the per-frame oracle bit for bit.
-        """
-        service = cycles / effective_hz
-        timing = DatapathTiming(service=service)
-        if jitter is not None:
-            if self.mode == DatapathMode.KERNEL:
-                timing.fixed_wait = self.costs.fixed_latency * (
-                    1.0 + 0.25 * jitter.unit(key, HashJitter.SITE_FIXED_WAIT)
-                )
-            else:
-                timing.drain_wait = self.costs.drain_jitter * jitter.unit(
-                    key, HashJitter.SITE_DRAIN_WAIT)
-                anomaly = self._anomaly_scale(num_queues)
-                if anomaly:
-                    timing.drain_wait += anomaly * (
-                        0.6 + 0.8 * jitter.unit(
-                            key, HashJitter.SITE_DRAIN_ANOMALY))
-            if sharers > 1:
-                timing.sched_wait = (
-                    (sharers - 1) * self.costs.sched_slice
-                    * jitter.unit(key, HashJitter.SITE_SCHED_WAIT))
-            return timing
-        assert rng is not None
-        if self.mode == DatapathMode.KERNEL:
-            # Interrupt + softirq wakeup, with its natural variance
-            # (mean 1.125x the nominal figure).
-            timing.fixed_wait = self.costs.fixed_latency * (
-                1.0 + rng.uniform(0.0, 0.25)
-            )
-        else:
-            timing.drain_wait = rng.uniform(0.0, self.costs.drain_jitter)
-            anomaly = self._anomaly_scale(num_queues)
-            if anomaly:
-                timing.drain_wait += rng.uniform(0.6, 1.4) * anomaly
-        if sharers > 1:
-            # While K compartments time-share a core, a pass may find the
-            # core scheduled elsewhere for up to (K-1) timeslices.
-            timing.sched_wait = rng.uniform(0.0, (sharers - 1) * self.costs.sched_slice)
-        return timing
+        """Latency of one pass (see :meth:`pass_wait`) keyed by ``key``
+        (the frame id, with the ingress port mixed in)."""
+        return DatapathTiming(
+            service=cycles / effective_hz,
+            wait=self.pass_wait(jitter, sharers, num_queues)(key))
 
     def timing_batch(
         self,
@@ -200,46 +196,18 @@ class DatapathModel:
     ) -> "tuple[list[float], list[float]]":
         """Vectorized :meth:`timing` for a same-flow burst.
 
-        Returns parallel ``(service, wait)`` lists where ``wait`` is the
-        summed fixed/sched/drain latency.  Draw-for-draw identical to
-        per-member :meth:`timing` calls with ``key=(k << 6) | mask``
-        (``key_shift_or`` packs the ingress-port mask) -- the jitter is
-        a pure function of the key, so batching changes nothing.  The
-        first member may carry extra cycles (megaflow miss walk).
+        Returns parallel ``(service, wait)`` lists.  Draw-for-draw
+        identical to per-member :meth:`timing` calls with
+        ``key=(k << 6) | mask`` (``key_shift_or`` packs the
+        ingress-port mask).  The first member may carry extra cycles
+        (megaflow miss walk).
         """
         n = len(keys)
         svc = [cycles / effective_hz] * n
         if first_cycles != cycles:
             svc[0] = first_cycles / effective_hz
-        waits = [0.0] * n
-        unit = jitter.unit
-        if self.mode == DatapathMode.KERNEL:
-            fixed = self.costs.fixed_latency
-            site = HashJitter.SITE_FIXED_WAIT
-            for i in range(n):
-                waits[i] = fixed * (
-                    1.0 + 0.25 * unit((keys[i] << 6) | key_shift_or, site))
-        else:
-            drain = self.costs.drain_jitter
-            site = HashJitter.SITE_DRAIN_WAIT
-            anomaly = self._anomaly_scale(num_queues)
-            if anomaly:
-                site2 = HashJitter.SITE_DRAIN_ANOMALY
-                for i in range(n):
-                    key = (keys[i] << 6) | key_shift_or
-                    waits[i] = (drain * unit(key, site)
-                                + anomaly * (0.6 + 0.8 * unit(key, site2)))
-            else:
-                for i in range(n):
-                    waits[i] = drain * unit(
-                        (keys[i] << 6) | key_shift_or, site)
-        if sharers > 1:
-            slice_span = (sharers - 1) * self.costs.sched_slice
-            site = HashJitter.SITE_SCHED_WAIT
-            for i in range(n):
-                waits[i] += slice_span * unit(
-                    (keys[i] << 6) | key_shift_or, site)
-        return svc, waits
+        wait = self.pass_wait(jitter, sharers, num_queues)
+        return svc, [wait((k << 6) | key_shift_or) for k in keys]
 
     def _anomaly_scale(self, num_queues: int) -> float:
         """Mean wait of the ~1 ms Baseline multi-queue effect at low

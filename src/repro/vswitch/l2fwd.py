@@ -16,7 +16,6 @@ the app does not charge a compute share.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -50,13 +49,11 @@ class L2Fwd:
         name: str,
         sim: Optional[Simulator] = None,
         freq_hz: float = 2.1e9,
-        rng: Optional[random.Random] = None,
         drain_interval: float = DRAIN_INTERVAL,
     ) -> None:
         self.name = name
         self.sim = sim
         self.freq_hz = freq_hz
-        self.rng = rng if rng is not None else random.Random(0)
         #: Drain wait is keyed per frame so the batched path reproduces
         #: the per-frame oracle draw for draw.
         self._jitter = HashJitter.from_name(name)

@@ -24,7 +24,6 @@ bridge a source MAC that another flow through it uses as destination.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
@@ -47,12 +46,10 @@ class LinuxBridge:
         name: str,
         sim: Optional[Simulator] = None,
         freq_hz: float = 2.1e9,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self.name = name
         self.sim = sim
         self.freq_hz = freq_hz
-        self.rng = rng if rng is not None else random.Random(0)
         self._ports: List[PortPair] = []
         self._mac_table: Dict[MacAddress, int] = {}
         #: Bumped whenever a learn changes the MAC table; cached

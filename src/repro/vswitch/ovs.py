@@ -17,7 +17,6 @@ can run in two modes:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -124,39 +123,15 @@ class _FusedRoute:
                  "num_ports", "jitter", "key_or", "station", "cycles",
                  "lookahead", "next")
 
-    def register(self, sink: "_FusedSink", fid: int, created_at: float,
-                 t: float) -> None:
-        """Pre-register a member that finished upstream at ``t``: its
-        arrival at this route's station, and its service there."""
-        arrival = t
-        for leg in self.legs:
-            if leg is None:
-                leg = self.l2fwd_base + self.drain_interval * \
-                    self.drain_unit(fid, self.drain_site)
-            arrival += leg
-        share = self.share
-        timing = self.model.timing(
-            self.cycles,
-            effective_hz=share.effective_hz(),
-            sharers=share.sharers,
-            num_queues=self.num_queues,
-            jitter=self.jitter,
-            key=(fid << 6) | self.key_or,
-        )
-        j = sink.append(fid, created_at, timing.service)
-        # The pass wait is one sum, as in OvsBridge._dispatch.
-        self.station.submit_member(
-            sink, j,
-            arrival + (timing.fixed_wait + timing.sched_wait
-                       + timing.drain_wait))
-
 
 class _FusedSink:
     """Accumulates one fused burst at the downstream bridge's station.
 
-    Grows by one member per upstream commit (identity + service time
-    captured *at commit*, before any later hop re-sorts batch arrays)
-    and is sealed when the upstream group can no longer grow.  The
+    Grows by one member per upstream commit (identity captured *at
+    commit*, before any later hop re-sorts batch arrays) and is sealed
+    when the upstream group can no longer grow.  Like a batched pass,
+    it reads its core share once, when made (once per upstream burst):
+    every member gets the same service time and wait routine.  The
     exemplar header arrives later, on the burst's single accounting
     traversal of the physical chain; by then every member is already
     admitted (or ring-dropped) downstream.  Duck-types the group
@@ -173,8 +148,9 @@ class _FusedSink:
     margin = _INF
 
     __slots__ = ("route", "bridge", "key", "out_ports", "svc", "batch",
-                 "sink", "lookahead", "_ids", "_created", "_done_idx",
-                 "_done_ts", "_submitted", "_resolved", "_sealed")
+                 "sink", "lookahead", "_service", "_wait", "_ids",
+                 "_created", "_done_idx", "_done_ts", "_submitted",
+                 "_resolved", "_sealed")
 
     def __init__(self, route: _FusedRoute) -> None:
         self.route = route
@@ -187,6 +163,10 @@ class _FusedSink:
         self.sink: Optional[_FusedSink] = None
         self.lookahead = (route.next.lookahead if route.next is not None
                           else _INF)
+        share = route.share
+        self._service = route.cycles / share.effective_hz()
+        self._wait = route.model.pass_wait(route.jitter, share.sharers,
+                                           route.num_queues)
         self._ids: List[int] = []
         self._created: List[float] = []
         self._done_idx: List[int] = []
@@ -195,14 +175,24 @@ class _FusedSink:
         self._resolved = 0
         self._sealed = False
 
-    def append(self, frame_id: int, created_at: float,
-               service: float) -> int:
+    def register(self, frame_id: int, created_at: float, t: float) -> None:
+        """Pre-register a member that finished upstream at ``t``: its
+        arrival at the route's station, and its service there."""
+        route = self.route
+        arrival = t
+        for leg in route.legs:
+            if leg is None:
+                leg = route.l2fwd_base + route.drain_interval * \
+                    route.drain_unit(frame_id, route.drain_site)
+            arrival += leg
         j = self._submitted
         self._submitted = j + 1
         self._ids.append(frame_id)
         self._created.append(created_at)
-        self.svc.append(service)
-        return j
+        self.svc.append(self._service)
+        # The pass wait is one sum, as in OvsBridge._dispatch.
+        route.station.submit_member(
+            self, j, arrival + self._wait((frame_id << 6) | route.key_or))
 
     def attach_part(self, part: FrameBatch) -> None:
         """Bind the accounting traversal's exemplar header.
@@ -233,7 +223,7 @@ class _FusedSink:
         if onward is not None:
             if self.sink is None:
                 self.sink = _FusedSink(onward)
-            onward.register(self.sink, self._ids[j], self._created[j], t)
+            self.sink.register(self._ids[j], self._created[j], t)
         self._done_idx.append(j)
         self._done_ts.append(t)
         return len(self._done_idx) == 1
@@ -308,6 +298,9 @@ class _BatchPassGroup:
     def drop(self, i: int) -> None:
         self._remaining -= 1
 
+    def drop_range(self, members) -> None:
+        self._remaining -= len(members)
+
     def is_done(self) -> bool:
         return self._remaining == 0
 
@@ -351,7 +344,7 @@ class _FusedPassGroup(_BatchPassGroup):
         if sink is None:
             sink = self.sink = _FusedSink(self.route)
         batch = self.batch
-        self.route.register(sink, batch.frame_ids[i], batch.created_at[i], t)
+        sink.register(batch.frame_ids[i], batch.created_at[i], t)
         self._remaining -= 1
         self._done_idx.append(i)
         self._done_ts.append(t)
@@ -426,12 +419,10 @@ class OvsBridge:
         mode: DatapathMode = DatapathMode.KERNEL,
         sim: Optional[Simulator] = None,
         costs: Optional[PassCosts] = None,
-        rng: Optional[random.Random] = None,
         cache: Optional["MegaflowCache"] = None,
     ) -> None:
         self.name = name
         self.sim = sim
-        self.rng = rng if rng is not None else random.Random(0)
         #: Per-frame keyed jitter for pass timing variance (identical
         #: draws on the per-frame and batched paths).
         self._jitter = HashJitter.from_name(name)
@@ -761,7 +752,7 @@ class OvsBridge:
         plan._service_time = timing.service  # type: ignore[attr-defined]
         plan._t_dispatch = self.sim.now  # type: ignore[attr-defined]
         plan.frame.charge("vswitch.service", timing.service)
-        wait = timing.fixed_wait + timing.sched_wait + timing.drain_wait
+        wait = timing.wait
         plan._pass_wait = wait  # type: ignore[attr-defined]
         plan.frame.charge("vswitch.wait", wait)
         if wait > 0:

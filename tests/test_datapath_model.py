@@ -1,10 +1,11 @@
 """Datapath cost/timing models: pass cycles, jitter, the drain anomaly."""
 
-import random
+from dataclasses import replace
 
 import pytest
 
 from repro.perfmodel.calibration import dpdk_pass_costs, kernel_pass_costs
+from repro.sim.hashjit import HashJitter
 from repro.vswitch.datapath import DatapathMode, DatapathModel, PortClass
 
 
@@ -52,38 +53,51 @@ class TestPassCycles:
         assert kernel / dpdk > 5
 
 
+#: A keyed jitter source for the timing tests (any seed will do).
+JITTER = HashJitter(7)
+
+
+def _no_fixed_latency(costs):
+    """Kernel costs without the interrupt wait: a pass's wait is then
+    its scheduling wait alone."""
+    return replace(costs, fixed_latency=0.0)
+
+
 class TestTiming:
     def test_kernel_pass_includes_interrupt_latency(self):
         model = DatapathModel(DatapathMode.KERNEL, kernel_pass_costs())
         timing = model.timing(2100, effective_hz=2.1e9, sharers=1,
-                              num_queues=1, rng=random.Random(0))
-        assert timing.fixed_wait >= model.costs.fixed_latency
+                              num_queues=1, jitter=JITTER, key=0)
+        assert timing.wait >= model.costs.fixed_latency
         assert timing.service == pytest.approx(1e-6)
 
     def test_shared_core_adds_sched_jitter(self):
-        model = DatapathModel(DatapathMode.KERNEL, kernel_pass_costs())
-        rng = random.Random(0)
+        model = DatapathModel(DatapathMode.KERNEL,
+                              _no_fixed_latency(kernel_pass_costs()))
         waits = [model.timing(2100, 0.525e9, sharers=4, num_queues=1,
-                              rng=rng).sched_wait for _ in range(200)]
+                              jitter=JITTER, key=k).wait
+                 for k in range(200)]
         assert max(waits) > 0
         assert max(waits) <= 3 * model.costs.sched_slice
 
     def test_isolated_core_no_sched_jitter(self):
-        model = DatapathModel(DatapathMode.KERNEL, kernel_pass_costs())
+        model = DatapathModel(DatapathMode.KERNEL,
+                              _no_fixed_latency(kernel_pass_costs()))
         timing = model.timing(2100, 2.1e9, sharers=1, num_queues=1,
-                              rng=random.Random(0))
-        assert timing.sched_wait == 0.0
+                              jitter=JITTER, key=0)
+        assert timing.wait == 0.0
 
     def test_dpdk_drain_jitter_bounded(self):
         model = DatapathModel(DatapathMode.DPDK, dpdk_pass_costs())
-        rng = random.Random(0)
-        waits = [model.timing(300, 2.1e9, 1, 1, rng).drain_wait
-                 for _ in range(200)]
+        waits = [model.timing(300, 2.1e9, 1, 1, jitter=JITTER, key=k).wait
+                 for k in range(200)]
         assert all(w <= model.costs.drain_jitter for w in waits)
 
 
 class TestDrainAnomaly:
-    """The ~1 ms Baseline multi-queue effect at 10 kpps (section 4.2)."""
+    """The ~1 ms Baseline multi-queue effect at 10 kpps (section 4.2).
+
+    One sharer and DPDK: a pass's wait is its drain wait alone."""
 
     def _model(self, rate):
         model = DatapathModel(DatapathMode.DPDK, dpdk_pass_costs())
@@ -93,24 +107,24 @@ class TestDrainAnomaly:
     def test_multi_queue_low_rate_shows_1ms(self):
         model = self._model(10_000)
         timing = model.timing(300, 2.1e9, 1, num_queues=2,
-                              rng=random.Random(0))
-        assert timing.drain_wait > 0.5e-3
+                              jitter=JITTER, key=0)
+        assert timing.wait > 0.5e-3
 
     def test_single_queue_unaffected(self):
         model = self._model(10_000)
         timing = model.timing(300, 2.1e9, 1, num_queues=1,
-                              rng=random.Random(0))
-        assert timing.drain_wait < 0.2e-3
+                              jitter=JITTER, key=0)
+        assert timing.wait < 0.2e-3
 
     def test_high_rate_unaffected(self):
         """At 100 kpps and above the paper measures ~2 us."""
         model = self._model(100_000)
         timing = model.timing(300, 2.1e9, 1, num_queues=2,
-                              rng=random.Random(0))
-        assert timing.drain_wait < 0.2e-3
+                              jitter=JITTER, key=0)
+        assert timing.wait < 0.2e-3
 
     def test_no_hint_no_anomaly(self):
         model = DatapathModel(DatapathMode.DPDK, dpdk_pass_costs())
         timing = model.timing(300, 2.1e9, 1, num_queues=4,
-                              rng=random.Random(0))
-        assert timing.drain_wait < 0.2e-3
+                              jitter=JITTER, key=0)
+        assert timing.wait < 0.2e-3

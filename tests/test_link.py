@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Frame, Link, MacAddress, OpticalTap, Port
+from repro.net.packet import FrameBatch
 from repro.sim import Simulator
 from repro.traffic.sink import LatencyMonitor
 from repro.units import GBPS
@@ -100,3 +101,60 @@ class TestTapAndMonitor:
         _, _, monitor = self._wired()
         with pytest.raises(ValueError):
             monitor.throughput_pps(1.0, 1.0)
+
+
+class TestHeldEgressRuns:
+    """A held link hands the tap one run per batch per settle."""
+
+    #: Two flows whose ready times interleave on the wire (ns).
+    READY = {1: [100, 300, 500, 700], 2: [200, 400, 600, 800]}
+
+    def _frames(self):
+        frames = []
+        fid = 0
+        for flow, ready in self.READY.items():
+            for t in ready:
+                frames.append((t * 1e-9, frame(flow_id=flow, frame_id=fid)))
+                fid += 1
+        return frames
+
+    def _run(self, batched):
+        sim = Simulator()
+        tap_in, tap_out = OpticalTap("in"), OpticalTap("out")
+        monitor = LatencyMonitor(tap_in, tap_out)
+        notes = []
+        tap_out.observe(lambda f, now: notes.append(1),
+                        batch=lambda batch, starts: notes.append(len(batch)))
+        link_in = Link(sim, Port("dut", lambda f: None), tap=tap_in)
+        link_out = Link(sim, Port("sink"), tap=tap_out)
+        frames = self._frames()
+        for t, f in frames:
+            link_in.send(f, at=t / 2)
+        if batched:
+            link_out.hold(lambda: 0.0)  # nothing settles on hand-off
+            for flow in (2, 1):
+                members = [(t, f) for t, f in frames if f.flow_id == flow]
+                link_out.send_batch(FrameBatch(
+                    members[0][1], [f.frame_id for _, f in members],
+                    [t for t, _ in members]))
+            assert notes == []
+            link_out.hold(None)  # one settle of both batches
+        else:
+            for t, f in sorted(frames, key=lambda x: x[0]):
+                link_out.send(f, at=t)
+        sim.run()
+        samples = [(s.flow_id, s.t_in, s.t_out) for s in monitor.samples]
+        return notes, samples, list(monitor.egress_times)
+
+    def test_one_notification_per_batch_per_settle(self):
+        notes, _, _ = self._run(batched=True)
+        assert notes == [4, 4]
+
+    def test_captures_match_frames_sent_one_at_a_time(self):
+        _, samples, egress = self._run(batched=True)
+        notes, ref_samples, ref_egress = self._run(batched=False)
+        assert notes == [1] * 8
+        assert samples == ref_samples
+        assert egress == ref_egress
+        assert [t for t, _ in egress] == sorted(t for t, _ in egress)
+        assert [fl for _, fl in egress] == [1, 2] * 4

@@ -1,10 +1,12 @@
 """FIFO queues and service stations."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import FifoQueue, ServiceStation, Simulator
 from repro.sim.resources import BatchFairStation, FairServiceStation
 
@@ -183,6 +185,7 @@ class _FuzzGroup:
 
     Its commits are due outside the station within ``lookahead`` of the
     finish, and its flushes within ``margin`` of every flushed finish.
+    A range drop must never complete it.
     """
 
     def __init__(self, sim, key, sub_ts, svc, margin, lookahead):
@@ -194,6 +197,7 @@ class _FuzzGroup:
         self.lookahead = lookahead
         self.commits = {}
         self.drops = set()
+        self.ranges = 0
         self._held = []
 
     def commit(self, i, t):
@@ -204,6 +208,13 @@ class _FuzzGroup:
 
     def drop(self, i):
         self.drops.add(i)
+
+    def drop_range(self, members):
+        assert len(members) > 0
+        assert self.drops.isdisjoint(members)
+        self.drops.update(members)
+        self.ranges += 1
+        assert not self.is_done()
 
     def is_done(self):
         return len(self.commits) + len(self.drops) == len(self.sub_ts)
@@ -318,10 +329,29 @@ def _batched(capacity, groups, cut):
                    for i, t in group.commits.items()}, station.busy_time)
     # A far horizon lets the station defer as far as lookaheads allow.
     sim.run(until=1.0)
+    return made, station, at_cut
+
+
+def _assert_matches(case):
+    """The batched station's outcome equals the per-frame one.  Returns
+    how many range drops the batched station made."""
+    _, _, cut = case
+    ref_commits, ref_drops, ref, ref_busy = _per_frame(*case)
+    made, station, at_cut = _batched(*case)
     commits = {(g, i): t for g, group in enumerate(made)
                for i, t in group.commits.items()}
     drops = {(g, i) for g, group in enumerate(made) for i in group.drops}
-    return commits, drops, station, at_cut
+    assert commits == ref_commits
+    assert drops == ref_drops
+    assert station.busy_time == ref.busy_time
+    assert station.served == ref.served
+    assert station.dropped() == ref.dropped()
+    assert station.oldest_unflushed() is None
+    if cut is not None:
+        by_cut, busy = at_cut
+        assert by_cut == {m: t for m, t in ref_commits.items() if t <= cut}
+        assert busy == ref_busy
+    return sum(group.ranges for group in made)
 
 
 class TestBatchStationAgainstPerFrame:
@@ -330,20 +360,137 @@ class TestBatchStationAgainstPerFrame:
     @settings(max_examples=300, deadline=None)
     @given(_station_case())
     def test_commits_drops_and_busy_time_match(self, case):
-        capacity, groups, cut = case
-        ref_commits, ref_drops, ref, ref_busy = _per_frame(*case)
-        commits, drops, station, at_cut = _batched(*case)
-        assert commits == ref_commits
-        assert drops == ref_drops
-        assert station.busy_time == ref.busy_time
-        assert station.served == ref.served
-        assert station.dropped() == ref.dropped()
-        assert station.oldest_unflushed() is None
-        if cut is not None:
-            by_cut, busy = at_cut
-            assert by_cut == {m: t for m, t in ref_commits.items()
-                              if t <= cut}
-            assert busy == ref_busy
+        _assert_matches(case)
+
+
+@st.composite
+def _overload_case(draw):
+    """Like :func:`_station_case`, at 5x to 17x the service rate.
+
+    Arrivals take consecutive or every-other lattice slots, services
+    72-120 service units (each above 10 slots), and every group's
+    ``sub_ts`` comes in a drawn order, as jittered bursts do.
+    """
+    rings = draw(st.integers(min_value=1, max_value=4))
+    capacity = draw(st.integers(min_value=1, max_value=8))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=2),
+                         min_size=2, max_size=60))
+    arrivals = []
+    t = 0
+    for gap in gaps:
+        t += gap
+        arrivals.append(t)
+    n_groups = draw(st.integers(min_value=1, max_value=min(6, len(gaps))))
+    owner = [draw(st.integers(min_value=0, max_value=n_groups - 1))
+             for _ in arrivals]
+    groups = []
+    for g in range(n_groups):
+        ts = [a * _ARRIVAL for a, o in zip(arrivals, owner) if o == g]
+        if not ts:
+            continue
+        margin = draw(st.sampled_from([0.0, 4 * _ARRIVAL, _INF]))
+        groups.append({
+            "key": draw(st.integers(min_value=0, max_value=rings - 1)),
+            "ts": draw(st.permutations(ts)),
+            "svc": [draw(st.integers(min_value=72, max_value=120))
+                    * _SERVICE for _ in ts],
+            "margin": margin,
+            "lookahead": min(margin, draw(st.sampled_from(
+                [0.0, 2 * _ARRIVAL, _INF]))),
+            "lead": draw(st.integers(min_value=0, max_value=20)) * _ARRIVAL,
+            "one_by_one": draw(st.booleans()),
+        })
+    cut = draw(st.one_of(st.none(), st.integers(min_value=0,
+                                                max_value=t + 20)))
+    if cut is not None:
+        cut = cut * _ARRIVAL + _ARRIVAL / 3
+    return capacity, groups, cut
+
+
+class TestBatchStationAtOverload:
+    """Saturated rings, jittered member order, range drops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_overload_case())
+    def test_commits_drops_and_busy_time_match(self, case):
+        _assert_matches(case)
+
+    @pytest.mark.parametrize("rings,capacity", [(1, 1), (3, 8)])
+    def test_one_registration_past_the_lag_bound(self, rings, capacity):
+        # Groups of more than _MAX_LAG members each, registered at once
+        # and in shuffled order, at 7x the service rate or more.
+        from repro.sim.resources import _MAX_LAG
+
+        rng = random.Random(rings)
+        n = _MAX_LAG + 500
+        slots = rng.sample(range(1, rings * n + 1), rings * n)
+        groups = []
+        for k in range(rings):
+            ts = [a * _ARRIVAL for a in slots[k * n:(k + 1) * n]]
+            groups.append({
+                "key": k, "ts": ts,
+                "svc": [rng.randint(36, 60) * rings * _SERVICE for _ in ts],
+                "margin": _INF, "lookahead": _INF, "lead": 0.0,
+                "one_by_one": False,
+            })
+        assert _assert_matches((capacity, groups, None)) > 0
+
+
+class _ReEntrant(_Group):
+    """Registers ``other``'s member at the same station on commit, at
+    the commit time plus ``offset``."""
+
+    margin = _INF
+    lookahead = _INF
+
+    def __init__(self, station, other, offset):
+        super().__init__(1e-6, 1e-6)
+        self.station = station
+        self.other = other
+        self.offset = offset
+
+    def commit(self, i, t):
+        self.station.submit_member(self.other, 0, t + self.offset)
+        return super().commit(i, t)
+
+
+class TestRegistrationContract:
+    """No member may be registered behind the station's clock."""
+
+    def test_group_behind_now_rejected(self):
+        sim = Simulator()
+        sim.run(until=2e-6)
+        station = BatchFairStation(sim)
+        # The first member is on time; the jittered second is late.
+        group = _Group(3e-6, 1e-6)
+        group.sub_ts = [3e-6, 1e-6]
+        group.svc = [1e-6, 1e-6]
+        with pytest.raises(SimulationError, match="behind the station"):
+            station.submit_group(group)
+
+    def test_member_behind_now_rejected(self):
+        sim = Simulator()
+        sim.run(until=2e-6)
+        station = BatchFairStation(sim)
+        station.submit_member(_Group(2e-6, 1e-6), 0, 2e-6)
+        with pytest.raises(SimulationError, match="behind the station"):
+            station.submit_member(_Group(1e-6, 1e-6), 0, 1e-6)
+
+    @staticmethod
+    def _replay(offset):
+        sim = Simulator()
+        station = BatchFairStation(sim)
+        other = _Group(0.0, 1e-6)
+        station.submit_group(_ReEntrant(station, other, offset))
+        sim.run(until=1.0)
+        return other
+
+    def test_wake_registrations_check_the_replay_clock(self):
+        # The wake at 1.0 replays the commit at 2e-6: a registration
+        # behind now but not behind the step stands.
+        assert self._replay(1e-9).commits == [2e-6 + 1e-9 + 1e-6]
+        with pytest.raises(SimulationError, match="behind the station"):
+            self._replay(-1e-9)
 
 
 class TestRngStreams:

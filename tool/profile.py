@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""cProfile harness for the Fig. 5 e2e scenario.
+"""cProfile harness for the Fig. 5 e2e scenario and the overload shape.
 
 Profiles one end-to-end run of a Fig. 5 topology (default: MTS L2 with
 2 vswitch VMs, p2v; 4 tenant flows at 200 kpps each) and prints the
-run's function calls, kernel events and batch-station wakes, then the
-top functions by cumulative time -- the lens that found and then
-verified the batched-fastpath wins recorded in EXPERIMENTS.md.
+run's function calls, kernel events, batch-station wakes and heap
+operations (``heapq`` calls on every heap: event kernel, stations,
+wire, generator) per sent frame, then the top functions by cumulative
+time -- the lens that found and then verified the batched-fastpath
+wins recorded in EXPERIMENTS.md.  ``--shape noisy-neighbor`` offers the
+noisy-neighbor experiment's load instead: one 2 Mpps flow and three
+10 kpps victims.
 
 Usage::
 
@@ -13,11 +17,14 @@ Usage::
     python tool/profile.py --oracle     # per-frame oracle path
     python tool/profile.py --level baseline --traffic p2v
     python tool/profile.py --level l2 --traffic v2v
+    python tool/profile.py --level l1 --shape noisy-neighbor \
+        --duration 0.06                 # the overload shape
     python tool/profile.py --top 30     # more rows
     python tool/profile.py --duration 0.05
     python tool/profile.py --out prof.pstats   # also dump raw stats
-    make profile                        # L2 p2v batched + oracle, then
-                                        # Baseline p2v and L2(2) v2v
+    make profile                        # L2 p2v batched + oracle,
+                                        # Baseline p2v, L2(2) v2v and
+                                        # the L1 noisy-neighbor shape
 """
 
 from __future__ import annotations
@@ -40,13 +47,18 @@ import pstats
 REPO_ROOT = os.path.dirname(_TOOL_DIR)
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+#: The ``heapq`` functions counted as heap operations.
+HEAP_OPS = ("heappush", "heappop", "heapreplace", "heappushpop", "heapify")
+
 
 def run_fig5(duration: float, batch: bool, level: str = "l2",
-             traffic: str = "p2v") -> dict:
+             traffic: str = "p2v", shape: str = "fig5") -> dict:
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
+    from repro.experiments import noisy_neighbor
     from repro.traffic import TestbedHarness
 
+    # Shared cores: also the noisy-neighbor experiment's deployments.
     spec = {
         "baseline": DeploymentSpec(level=SecurityLevel.BASELINE),
         "l1": DeploymentSpec(level=SecurityLevel.LEVEL_1),
@@ -54,12 +66,18 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
     }[level]
     deployment = build_deployment(spec, TrafficScenario(traffic))
     harness = TestbedHarness(deployment, batch=batch)
-    harness.configure_tenant_flows(rate_per_flow_pps=200_000)
+    if shape == "noisy-neighbor":
+        harness.add_tenant_flow(noisy_neighbor.ATTACKER,
+                                noisy_neighbor.ATTACK_RATE_PPS)
+        for victim in noisy_neighbor.VICTIMS:
+            harness.add_tenant_flow(victim, noisy_neighbor.VICTIM_RATE_PPS)
+    else:
+        harness.configure_tenant_flows(rate_per_flow_pps=200_000)
     events = deployment.sim.events_fired
     result = harness.run(duration=duration)
     return {"sent": result.sent, "delivered": result.delivered,
             "events": deployment.sim.events_fired - events,
-            "label": f"{spec.label} {traffic}"}
+            "label": f"{spec.label} {traffic} {shape}"}
 
 
 def main() -> int:
@@ -74,6 +92,11 @@ def main() -> int:
     parser.add_argument("--traffic", default="p2v",
                         choices=["p2p", "p2v", "v2v"],
                         help="Fig. 5 traffic scenario (default p2v)")
+    parser.add_argument("--shape", default="fig5",
+                        choices=["fig5", "noisy-neighbor"],
+                        help="offered load: 4 x 200 kpps (fig5, the "
+                             "default) or one 2 Mpps flow and three "
+                             "10 kpps victims (noisy-neighbor)")
     parser.add_argument("--duration", type=float, default=0.05,
                         help="simulated seconds of traffic (default 0.05)")
     parser.add_argument("--top", type=int, default=20,
@@ -87,19 +110,30 @@ def main() -> int:
     args = parser.parse_args()
 
     label = "oracle (per-frame)" if args.oracle else "batched fast path"
-    print(f"Profiling Fig. 5 {args.level} {args.traffic} e2e, {label}, "
-          f"duration={args.duration}s ...")
+    print(f"Profiling {args.shape} {args.level} {args.traffic} e2e, "
+          f"{label}, duration={args.duration}s ...")
     profiler = cProfile.Profile()
     profiler.enable()
     counts = run_fig5(args.duration, batch=not args.oracle,
-                      level=args.level, traffic=args.traffic)
+                      level=args.level, traffic=args.traffic,
+                      shape=args.shape)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     wakes = sum(entry[1] for func, entry in stats.stats.items()
                 if func[2] == "_wake" and func[0].endswith("resources.py"))
+    # Built-ins profile as ("~", 0, "<built-in method _heapq.heappop>").
+    heap = {name: 0 for name in HEAP_OPS}
+    for func, entry in stats.stats.items():
+        for name in HEAP_OPS:
+            if func[0] == "~" and func[2].endswith(f"_heapq.{name}>"):
+                heap[name] += entry[1]
+    sent = max(1, counts["sent"])
     print(f"{counts['label']}: sent={counts['sent']} "
           f"delivered={counts['delivered']} calls={stats.total_calls} "
-          f"kernel events={counts['events']} station wakes={wakes}\n")
+          f"kernel events={counts['events']} station wakes={wakes}")
+    print(f"heap ops per sent frame={sum(heap.values()) / sent:.2f} "
+          f"(heappop {heap['heappop'] / sent:.2f}; "
+          + ", ".join(f"{name}={n}" for name, n in heap.items()) + ")\n")
 
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
