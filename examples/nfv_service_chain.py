@@ -12,6 +12,7 @@ one packet actually took.
 Run:  python examples/nfv_service_chain.py
 """
 
+from repro import obs
 from repro.core import (
     DeploymentSpec,
     ResourceMode,
@@ -20,6 +21,7 @@ from repro.core import (
     build_deployment,
 )
 from repro.net import Frame, MacAddress
+from repro.obs.export import journey_report
 from repro.perfmodel.paths import throughput
 from repro.traffic import TestbedHarness
 from repro.units import MPPS, fmt_time
@@ -40,11 +42,11 @@ def show_chain(deployment) -> None:
         flow_id=0,
     )
     TestbedHarness(deployment)  # wires the egress link
-    deployment.external_ingress(0).receive(frame)
-    deployment.sim.run(until=deployment.sim.now + 1.0)
+    with obs.tracing(deployment.sim) as tracer:
+        deployment.external_ingress(0).receive(frame)
+        deployment.sim.run(until=deployment.sim.now + 1.0)
     print(f"  chain for {deployment.spec.label}:")
-    for hop in frame.trace:
-        print(f"    {hop}")
+    print(journey_report(tracer.journey(frame.frame_id)))
 
 
 def measure(level, label, **kwargs) -> None:

@@ -200,10 +200,6 @@ class Deployment:
         self._margin_cache = {}
         self._route_cache = {}
         self._margin_epoch = None
-        # Fused routes assume the chain's wiring is stable for the run;
-        # a marked deployment (bridge crashes, migrations) breaks that,
-        # so such runs keep the margin-flush path everywhere.
-        self._allow_fused = self.oracle_reason() is None
         # Bridge egress pair -> (nic port, VF) so the resolver can walk
         # the same VEB the flushed frames will traverse.
         pair_vf: Dict[int, tuple] = {}
@@ -396,7 +392,7 @@ class Deployment:
         margin-flushing tiny sub-batches through the physical chain.
         """
         margin = self._plan_flush_margin(bridge, plan)
-        if margin == _INF or not self._allow_fused:
+        if margin == _INF:
             return margin
         route, _ = self._fused_route(bridge, plan)
         return margin if route is None else route

@@ -62,16 +62,14 @@ class VhostPath:
 
     def _to_guest(self, frame: Frame) -> None:
         self.crossings += 1
-        frame.stamp(f"{self.name}.h2g")
-        frame.charge("vhost", self.costs.latency)
-        _obs.TRACER.vhost(self.name, frame, "h2g", self.costs.latency)
+        _obs.TRACER.hop(self.name, frame, "vhost.crossing", "h2g",
+                        self.costs.latency)
         self.sim.call_later(self.costs.latency, self.guest_side.rx.receive, frame)
 
     def _to_host(self, frame: Frame) -> None:
         self.crossings += 1
-        frame.stamp(f"{self.name}.g2h")
-        frame.charge("vhost", self.costs.latency)
-        _obs.TRACER.vhost(self.name, frame, "g2h", self.costs.latency)
+        _obs.TRACER.hop(self.name, frame, "vhost.crossing", "g2h",
+                        self.costs.latency)
         self.sim.call_later(self.costs.latency, self.host_side.rx.receive, frame)
 
     def _to_guest_batch(self, batch: FrameBatch) -> None:

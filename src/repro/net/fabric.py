@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs as _obs
 from repro.net.addresses import MacAddress
 from repro.net.interfaces import Port
 from repro.net.link import Link
@@ -119,9 +120,10 @@ class FabricSwitch:
 
     def _ingress(self, in_port: int, frame: Frame) -> None:
         self.ports[in_port].rx_frames += 1
-        frame.stamp(f"{self.name}.p{in_port}.rx")
         if not frame.src_mac.is_multicast and frame.src_mac not in self._static:
             self._learned[frame.src_mac] = in_port
+        _obs.TRACER.hop(self.name, frame, "fabric.forward", "forwarded",
+                        FABRIC_LATENCY)
         self.sim.call_later(FABRIC_LATENCY, self._forward, in_port, frame)
 
     def _lookup(self, mac: MacAddress) -> Optional[int]:
@@ -145,6 +147,5 @@ class FabricSwitch:
         self.forwarded += 1
         for i, port in enumerate(targets):
             copy = frame if i == len(targets) - 1 else frame.copy()
-            copy.stamp(f"{self.name}.p{port.index}.tx")
             port.tx_frames += 1
             port.link.send(copy)

@@ -45,9 +45,13 @@ class OpticalTap:
         ``batch(batch, starts)`` is its struct-of-arrays twin: it gets
         whole batches with one wire-entry timestamp per member.  An
         observer registered without a twin is *unpaired*: batches still
-        reach it, one materialized member at a time, but those members
-        carry no per-frame state (``Frame.timings``, hop traces) -- so a
-        harness with an unpaired observer runs the per-frame oracle.
+        reach it, one materialized member at a time, but not in wire
+        order: a batched link notifies its tap once per batch run per
+        settle, so across batches that interleaved on the wire the
+        timestamps go backwards.  A per-frame callback expects wire
+        order, so a harness with an unpaired observer runs the per-frame
+        oracle; a twin restores the order if it needs it (as
+        :class:`~repro.traffic.sink.LatencyMonitor` does).
         """
         self._observers.append(callback)
         self._twins.append(batch)
@@ -141,7 +145,6 @@ class Link:
         tx_done = start + self.serialization_time(frame)
         self._busy_until = tx_done
         arrival = tx_done + self.propagation_delay
-        frame.charge("wire", arrival - t)
         self.tx_frames += 1
         self.tx_bytes += frame.wire_size()
         self.sim.schedule(arrival, self.dst.receive, frame)

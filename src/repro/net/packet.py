@@ -3,9 +3,12 @@
 We model frames structurally rather than as byte buffers: the NIC's VEB
 switch, the vswitch flow tables and the workload models all match on
 header *fields*, and serializing real bytes would only slow the simulator
-down.  A frame knows its on-wire size, carries measurement metadata
-(creation timestamp, flow id) and an optional hop trace used by tests to
-assert the exact ingress/egress chains of Fig. 3.
+down.  A frame knows its on-wire size and carries measurement metadata
+(creation timestamp, flow id, tenant id).  It keeps no record of its
+own journey: the packet tracer (:mod:`repro.obs.trace`) records one
+span per hop, keyed by ``frame_id``, and that is what tests read to
+assert the exact ingress/egress chains of Fig. 3 and what the latency
+breakdown folds.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
 
@@ -89,12 +92,6 @@ class Frame:
     flow_id: int = 0
     tenant_id: Optional[int] = None
     frame_id: int = field(default_factory=lambda: next(_frame_ids))
-    trace: List[str] = field(default_factory=list)
-    #: PMU-style accounting: seconds spent per path component ("wire",
-    #: "nic", "vswitch.service", "vswitch.wait", "vswitch.queue",
-    #: "tenant", "vhost").  Populated by the timed dataplane; the
-    #: latency-breakdown experiment aggregates it.
-    timings: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.size_bytes < 64:
@@ -125,38 +122,16 @@ class Frame:
         """Frame size on the wire, including the 802.1Q tag if present."""
         return self.size_bytes + (VLAN_TAG_BYTES if self.vlan is not None else 0)
 
-    # -- trace ----------------------------------------------------------
-
-    def stamp(self, where: str) -> None:
-        """Append a hop to the frame's trace (for tests and debugging)."""
-        self.trace.append(where)
-
-    def charge(self, component: str, seconds: float) -> None:
-        """Attribute ``seconds`` of this frame's latency to a component."""
-        self.timings[component] = self.timings.get(component, 0.0) + seconds
+    # -- copies ---------------------------------------------------------
 
     def copy(self) -> "Frame":
-        """Independent copy with a fresh frame id and an empty trace."""
-        return Frame(
-            src_mac=self.src_mac,
-            dst_mac=self.dst_mac,
-            ethertype=self.ethertype,
-            vlan=self.vlan,
-            src_ip=self.src_ip,
-            dst_ip=self.dst_ip,
-            proto=self.proto,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            tunnel_id=self.tunnel_id,
-            decap_vni=self.decap_vni,
-            size_bytes=self.size_bytes,
-            created_at=self.created_at,
-            flow_id=self.flow_id,
-            tenant_id=self.tenant_id,
-        )
+        """Independent copy with a fresh frame id (a new trace)."""
+        clone = self.replica()
+        clone.frame_id = next(_frame_ids)
+        return clone
 
     def replica(self) -> "Frame":
-        """Copy that *keeps* the frame id (fresh trace/timings).
+        """Copy that *keeps* the frame id.
 
         Used by the batched fast path when a batch forks: every
         sub-batch needs its own mutable exemplar header, but members

@@ -42,7 +42,8 @@ Typical use (also what ``repro obs`` does)::
 from __future__ import annotations
 
 import weakref
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.obs.metrics import (
     Counter,
@@ -77,8 +78,7 @@ def enable_tracing(sim=None, capacity: int = 1_000_000) -> PacketTracer:
     if not TRACER.enabled:
         for deployment in list(_DEPLOYMENTS):
             deployment.hold_oracle("tracer")
-    tracer = PacketTracer(clock=(lambda: sim.now) if sim is not None else None,
-                          capacity=capacity, sim=sim)
+    tracer = PacketTracer(capacity=capacity, sim=sim)
     TRACER = tracer
     if sim is not None:
         REGISTRY.set_clock(lambda: sim.now)
@@ -92,6 +92,22 @@ def disable_tracing() -> None:
         for deployment in list(_DEPLOYMENTS):
             deployment.release_oracle("tracer")
     TRACER = NullTracer()
+
+
+@contextmanager
+def tracing(sim=None, capacity: int = 1_000_000) -> Iterator[PacketTracer]:
+    """Record into a fresh tracer for the ``with`` block, then put back
+    the tracer that was active before it (the no-op one, or an outer
+    recording tracer, which the block's spans do not reach)."""
+    global TRACER
+    previous = TRACER
+    tracer = enable_tracing(sim, capacity)
+    try:
+        yield tracer
+    finally:
+        if not previous.enabled:
+            disable_tracing()  # releases the deployments' marks
+        TRACER = previous
 
 
 def tracing_enabled() -> bool:
@@ -117,10 +133,9 @@ def on_deployment_built(deployment) -> None:
 
 def on_run_complete(harness, result) -> None:
     """Called by ``TestbedHarness.run`` after every run: harvest cache
-    stats into the registry, notify the tracer, and (when enabled)
-    print the per-tenant per-component summary tables."""
+    stats into the registry and (when enabled) print the per-tenant
+    per-component summary tables."""
     _integrate.harvest(harness.deployment, REGISTRY)
-    TRACER.run_complete(harness, result)
     if PRINT_RUN_SUMMARY and TRACER.enabled:
         from repro.obs.export import tenant_hop_table, tenant_latency_table
         print(tenant_latency_table(TRACER).render())
@@ -148,6 +163,7 @@ __all__ = [
     "TRACER",
     "REGISTRY",
     "enable_tracing",
+    "tracing",
     "disable_tracing",
     "tracing_enabled",
     "set_print_run_summary",

@@ -4,10 +4,17 @@ A frame's journey through the MTS chain (VM -> virtio/VF -> vswitch VM
 -> VF -> VEB -> wire, Fig. 3) is recorded as one :class:`Span` per hop:
 link enqueue/transmit, flow-table lookup (with hit/miss outcome and
 which cache layer answered), bridge pass, VEB forwarding decision, NIC
-filter verdict, vhost crossing, and every drop with its reason.  Spans
+filter verdict, every timed hop (NIC transit, vhost crossing, tenant
+forwarder, fabric switch), and every drop with its reason.  Spans
 carry the frame id as trace context (stable along a unicast journey;
 :meth:`Frame.copy` on multicast fan-out starts a new trace) plus the
 tenant id, so journeys can be grouped per tenant.
+
+This is the simulator's only per-frame record.  Every delay a frame
+meets lies in exactly one span, and the spans that add one keep its
+exact value (``attrs["delay"]`` of a timed hop; ``wait``, ``queue`` and
+``service`` of a bridge pass) for folds that must match the simulator's
+arithmetic bit for bit.
 
 The disabled default is :class:`NullTracer`: every hook is the same
 shared no-op, so an instrumentation site costs its callers exactly one
@@ -24,7 +31,7 @@ still replay in exact causal order.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 
 class Span:
@@ -94,22 +101,63 @@ class NullTracer:
     bridge_tx = staticmethod(_noop)
     veb_forward = staticmethod(_noop)
     nic_filter = staticmethod(_noop)
-    vhost = staticmethod(_noop)
+    hop = staticmethod(_noop)
     drop = staticmethod(_noop)
-    run_complete = staticmethod(_noop)
 
 
-#: Raw-record tags: which hook produced a pending record (the
-#: materializer switches on these to build the final :class:`Span`).
-_T_ENQUEUE = 0
-_T_LINK_TX = 1
-_T_FLOW = 2
-_T_BRIDGE_RX = 3
-_T_BRIDGE_TX = 4
-_T_VEB = 5
-_T_NIC_FILTER = 6
-_T_VHOST = 7
-_T_DROP = 8
+def _span(rec: tuple, seq: int) -> Span:
+    """The :class:`Span` of one raw record (see :class:`PacketTracer`),
+    whose first field is the span's kind."""
+    kind = rec[0]
+    if kind == "flowtable.lookup":
+        _, fid, name, now, rule, source, in_port, tenant = rec
+        attrs = {"source": source, "in_port": in_port}
+        if rule is None:
+            outcome = "miss"
+        else:
+            outcome = "hit"
+            attrs["cookie"] = rule.cookie
+            attrs["priority"] = rule.priority
+        return Span(fid, seq, name, kind, now, now, outcome, tenant, attrs)
+    if kind == "link.tx":
+        _, fid, name, t_start, t_done, t_arrival, tenant, wire = rec
+        return Span(fid, seq, name, kind, t_start, t_arrival, "sent", tenant,
+                    {"bytes": wire, "serialization": t_done - t_start})
+    if kind == "link.enqueue":
+        _, fid, name, t_submit, t_start, tenant = rec
+        return Span(fid, seq, name, kind, t_submit, t_start, "queued",
+                    tenant, None)
+    if kind == "vswitch.rx":
+        _, fid, name, now, cached, port_no, tenant = rec
+        return Span(fid, seq, name, kind, now, now,
+                    "plan_cache_hit" if cached else "pipeline", tenant,
+                    {"in_port": port_no})
+    if kind == "vswitch.tx":
+        _, fid, name, t_dispatch, now, port_no, tenant, wait, service = rec
+        attrs = {"out_port": port_no}
+        if t_dispatch is None:
+            t_dispatch = now
+        else:  # the time beyond wait and service went to rx-ring queueing
+            attrs.update(wait=wait, service=service,
+                         queue=max(0.0, now - t_dispatch - wait - service))
+        return Span(fid, seq, name, kind, t_dispatch, now, "forwarded",
+                    tenant, attrs)
+    if kind == "veb.forward":
+        _, fid, name, now, ingress, vlan, decision, tenant = rec
+        return Span(fid, seq, name, kind, now, now, decision.reason, tenant,
+                    {"ingress": ingress, "vlan": vlan,
+                     "destinations": list(decision.destinations),
+                     "flooded": decision.flooded})
+    if kind == "nic.filter":
+        _, fid, name, now, vf_name, verdict, tenant = rec
+        return Span(fid, seq, name, kind, now, now, verdict, tenant,
+                    {"vf": vf_name})
+    if kind == "drop":
+        _, fid, name, now, reason, tenant = rec
+        return Span(fid, seq, name, kind, now, now, reason, tenant, None)
+    _, fid, name, now, outcome, delay, tenant = rec  # a timed hop
+    return Span(fid, seq, name, kind, now, now + delay, outcome, tenant,
+                {"delay": delay})
 
 
 class PacketTracer:
@@ -149,14 +197,9 @@ class PacketTracer:
         #: wall_seconds) per ``Simulator.run`` return.
         self.kernel_samples: List[Tuple[float, int, int, float]] = []
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-        self._sim = None
-
     def bind_sim(self, sim) -> None:
         """Bind the hot-path clock to ``sim`` (see ``_sim`` above)."""
         self._sim = sim
-        self._clock = lambda: sim.now
 
     # -- recording core ----------------------------------------------------
 
@@ -164,67 +207,18 @@ class PacketTracer:
     def spans(self) -> List[Span]:
         """Recorded spans, materializing any pending raw records."""
         if self._raw:
-            self._materialize()
+            self._spans = list(self.iter_spans())
+            self._seq += len(self._raw)
+            self._raw = []
         return self._spans
 
-    def _materialize(self) -> None:
-        spans = self._spans
-        seq = self._seq
-        append = spans.append
-        for rec in self._raw:
-            tag = rec[0]
-            seq += 1
-            if tag == _T_FLOW:
-                _, fid, name, now, rule, source, in_port, tenant = rec
-                attrs = {"source": source, "in_port": in_port}
-                if rule is None:
-                    outcome = "miss"
-                else:
-                    outcome = "hit"
-                    attrs["cookie"] = rule.cookie
-                    attrs["priority"] = rule.priority
-                append(Span(fid, seq, name, "flowtable.lookup", now, now,
-                            outcome, tenant, attrs))
-            elif tag == _T_LINK_TX:
-                _, fid, name, t_start, t_done, t_arrival, tenant, wire = rec
-                append(Span(fid, seq, name, "link.tx", t_start, t_arrival,
-                            "sent", tenant,
-                            {"bytes": wire,
-                             "serialization": t_done - t_start}))
-            elif tag == _T_ENQUEUE:
-                _, fid, name, t_submit, t_start, tenant = rec
-                append(Span(fid, seq, name, "link.enqueue", t_submit,
-                            t_start, "queued", tenant, None))
-            elif tag == _T_BRIDGE_RX:
-                _, fid, name, now, cached, port_no, tenant = rec
-                append(Span(fid, seq, name, "vswitch.rx", now, now,
-                            "plan_cache_hit" if cached else "pipeline",
-                            tenant, {"in_port": port_no}))
-            elif tag == _T_BRIDGE_TX:
-                _, fid, name, start, now, port_no, tenant = rec
-                append(Span(fid, seq, name, "vswitch.tx", start, now,
-                            "forwarded", tenant, {"out_port": port_no}))
-            elif tag == _T_VEB:
-                _, fid, name, now, ingress, vlan, decision, tenant = rec
-                append(Span(fid, seq, name, "veb.forward", now, now,
-                            decision.reason, tenant,
-                            {"ingress": ingress, "vlan": vlan,
-                             "destinations": list(decision.destinations),
-                             "flooded": decision.flooded}))
-            elif tag == _T_NIC_FILTER:
-                _, fid, name, now, vf_name, verdict, tenant = rec
-                append(Span(fid, seq, name, "nic.filter", now, now,
-                            verdict, tenant, {"vf": vf_name}))
-            elif tag == _T_VHOST:
-                _, fid, name, now, direction, latency, tenant = rec
-                append(Span(fid, seq, name, "vhost.crossing", now,
-                            now + latency, direction, tenant, None))
-            else:  # _T_DROP
-                _, fid, name, now, reason, tenant = rec
-                append(Span(fid, seq, name, "drop", now, now,
-                            reason, tenant, None))
-        self._seq = seq
-        self._raw = []
+    def iter_spans(self) -> Iterator[Span]:
+        """Every span in record order, as :attr:`spans` lists them, but
+        pending raw records are built one at a time and not kept: a
+        one-pass fold over a long run holds one span, not all of them."""
+        yield from self._spans
+        for seq, rec in enumerate(self._raw, self._seq + 1):
+            yield _span(rec, seq)
 
     # -- hooks (called from the instrumented hot paths) --------------------
 
@@ -243,7 +237,7 @@ class PacketTracer:
         if t_start > t_submit:
             if self._count < cap:
                 self._count += 1
-                self._raw.append((_T_ENQUEUE, frame.frame_id, name,
+                self._raw.append(("link.enqueue", frame.frame_id, name,
                                   t_submit, t_start, frame.tenant_id))
             else:
                 self.spans_dropped += 1
@@ -251,7 +245,7 @@ class PacketTracer:
             self._count += 1
             # wire_size() depends on headers that mutate down the chain,
             # so it is frozen here rather than deferred.
-            self._raw.append((_T_LINK_TX, frame.frame_id, name, t_start,
+            self._raw.append(("link.tx", frame.frame_id, name, t_start,
                               t_done, t_arrival, frame.tenant_id,
                               frame.wire_size()))
         else:
@@ -265,7 +259,7 @@ class PacketTracer:
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            self._raw.append((_T_FLOW, frame.frame_id, table_name,
+            self._raw.append(("flowtable.lookup", frame.frame_id, table_name,
                               sim._now if sim is not None else self._clock(),
                               rule, source, in_port, frame.tenant_id))
         else:
@@ -276,21 +270,25 @@ class PacketTracer:
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            self._raw.append((_T_BRIDGE_RX, frame.frame_id, bridge_name,
+            self._raw.append(("vswitch.rx", frame.frame_id, bridge_name,
                               sim._now if sim is not None else self._clock(),
                               plan_cached, port_no, frame.tenant_id))
         else:
             self.spans_dropped += 1
 
     def bridge_tx(self, bridge_name: str, frame, port_no: int,
-                  t_rx: Optional[float] = None) -> None:
+                  t_dispatch: Optional[float] = None, wait: float = 0.0,
+                  service: float = 0.0) -> None:
+        """A bridge pass handed ``frame`` to ``port_no``.  A timed pass
+        spans from its dispatch at ``t_dispatch`` to now: ``wait``
+        (pass jitter), rx-ring queueing and ``service``."""
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            now = sim._now if sim is not None else self._clock()
-            start = now if t_rx is None else t_rx
-            self._raw.append((_T_BRIDGE_TX, frame.frame_id, bridge_name,
-                              start, now, port_no, frame.tenant_id))
+            self._raw.append(("vswitch.tx", frame.frame_id, bridge_name,
+                              t_dispatch,
+                              sim._now if sim is not None else self._clock(),
+                              port_no, frame.tenant_id, wait, service))
         else:
             self.spans_dropped += 1
 
@@ -302,7 +300,7 @@ class PacketTracer:
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            self._raw.append((_T_VEB, frame.frame_id, veb_name,
+            self._raw.append(("veb.forward", frame.frame_id, veb_name,
                               sim._now if sim is not None else self._clock(),
                               ingress, vlan, decision, frame.tenant_id))
         else:
@@ -316,20 +314,24 @@ class PacketTracer:
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            self._raw.append((_T_NIC_FILTER, frame.frame_id, nic_port,
+            self._raw.append(("nic.filter", frame.frame_id, nic_port,
                               sim._now if sim is not None else self._clock(),
                               vf_name, verdict, frame.tenant_id))
         else:
             self.spans_dropped += 1
 
-    def vhost(self, name: str, frame, direction: str,
-              latency: float) -> None:
+    def hop(self, component: str, frame, kind: str, outcome: str,
+            delay: float) -> None:
+        """A timed hop: ``frame`` spends ``delay`` in ``component`` from
+        now on (NIC transit, vhost crossing, tenant forwarder, fabric
+        switch).  ``attrs["delay"]`` keeps the exact value, which the
+        span's end minus its start may miss in the last bit."""
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            self._raw.append((_T_VHOST, frame.frame_id, name,
+            self._raw.append((kind, frame.frame_id, component,
                               sim._now if sim is not None else self._clock(),
-                              direction, latency, frame.tenant_id))
+                              outcome, delay, frame.tenant_id))
         else:
             self.spans_dropped += 1
 
@@ -338,15 +340,11 @@ class PacketTracer:
         if self._count < self.capacity:
             self._count += 1
             sim = self._sim
-            self._raw.append((_T_DROP, frame.frame_id, component,
+            self._raw.append(("drop", frame.frame_id, component,
                               sim._now if sim is not None else self._clock(),
                               reason, frame.tenant_id))
         else:
             self.spans_dropped += 1
-
-    def run_complete(self, harness, result) -> None:
-        """Hook point for end-of-run reporting (see repro.obs.enable)."""
-        return None
 
     # -- queries -----------------------------------------------------------
 
@@ -369,7 +367,8 @@ class PacketTracer:
 
     def breakdown(self, trace_id: int) -> Dict[str, float]:
         """Per-stage latency of one frame: summed span durations keyed by
-        span kind (instantaneous decision spans contribute 0)."""
+        span kind (instantaneous decision spans contribute 0).  For a
+        delivered frame they sum to its whole journey."""
         totals: Dict[str, float] = {}
         for span in self.journey(trace_id):
             totals[span.kind] = totals.get(span.kind, 0.0) + span.duration

@@ -76,11 +76,6 @@ class NicPort:
         self.index = index
         #: Hop label, hoisted: built once instead of per packet.
         self._label = f"nic.p{index}"
-        self._fabric_in_stamp = f"nic.p{index}.fabric.in"
-        self._fabric_out_stamp = f"nic.p{index}.fabric.out"
-        #: Per-function stamp labels, built on first use.
-        self._in_stamps: Dict[str, str] = {}
-        self._out_stamps: Dict[str, str] = {}
         self.veb = VebSwitch(name=f"veb{index}")
         self.pf = VirtualFunction(index=-1, pf_index=index, kind=FunctionKind.PF,
                                   attached_to="host")
@@ -186,18 +181,6 @@ class NicPort:
 
     # -- dataplane ---------------------------------------------------------
 
-    def _in_stamp(self, name: str) -> str:
-        label = self._in_stamps.get(name)
-        if label is None:
-            label = self._in_stamps[name] = f"nic.p{self.index}.{name}.in"
-        return label
-
-    def _out_stamp(self, name: str) -> str:
-        label = self._out_stamps.get(name)
-        if label is None:
-            label = self._out_stamps[name] = f"nic.p{self.index}.{name}.out"
-        return label
-
     def _receive_from_vf(self, vf: VirtualFunction, frame: Frame) -> None:
         """VM transmitted on its VF: security chain, then switch."""
         vf.stats.tx_frames += 1
@@ -235,21 +218,19 @@ class NicPort:
                 _billing.METER.drop(frame.tenant_id, "nic_filtered")
             return
         _obs.TRACER.nic_filter(self._label, vf.name, frame, "pass")
-        frame.stamp(self._in_stamp(vf.name))
         domain = self.veb.domain_of(vf)
         # VM -> NIC DMA has already been paid conceptually by the VM's
         # transmit; we charge the crossing once here (ingress direction).
         delay = (self.nic.pcie.transfer_time(frame.wire_size(),
                                              tenant=frame.tenant_id)
                  + VEB_LATENCY)
-        frame.charge("nic", delay)
+        _obs.TRACER.hop(self._label, frame, "nic.in", vf.name, delay)
         self.nic.sim.call_later(delay, self._switch, vf.name, domain, frame)
 
     def _receive_from_fabric(self, frame: Frame) -> None:
         """Frame arrived from the wire."""
-        frame.stamp(self._fabric_in_stamp)
         domain = frame.vlan if frame.vlan is not None else UNTAGGED
-        frame.charge("nic", VEB_LATENCY)
+        _obs.TRACER.hop(self._label, frame, "nic.in", "fabric", VEB_LATENCY)
         self.nic.sim.call_later(VEB_LATENCY, self._switch, UPLINK, domain, frame)
 
     def _switch(self, ingress: str, domain: int, frame: Frame) -> None:
@@ -281,7 +262,6 @@ class NicPort:
             frame.push_vlan(domain)
         elif domain == UNTAGGED and frame.vlan is not None:
             frame.pop_vlan()
-        frame.stamp(self._fabric_out_stamp)
         self.fabric_link.send(frame)
 
     def _to_function(self, func: VirtualFunction, frame: Frame) -> None:
@@ -290,10 +270,9 @@ class NicPort:
             frame.pop_vlan()
         func.stats.rx_frames += 1
         func.stats.rx_bytes += frame.wire_size()
-        frame.stamp(self._out_stamp(func.name))
         delay = self.nic.pcie.transfer_time(frame.wire_size(),
                                             tenant=frame.tenant_id)
-        frame.charge("nic", delay)
+        _obs.TRACER.hop(self._label, frame, "nic.out", func.name, delay)
         self.nic.sim.call_later(delay, func.port.rx.receive, frame)
 
     # -- batched dataplane -------------------------------------------------
@@ -303,9 +282,8 @@ class NicPort:
     # same size), so they are computed once and the member timestamps
     # advanced analytically.  No events are scheduled -- the batch flows
     # inline to the next timestamped admission point (bridge rx ring) or
-    # to the fabric link.  Runs only with tracing off; per-frame hop
-    # stamps and latency charges are not maintained (the per-frame
-    # oracle remains the reference for those).
+    # to the fabric link.  Runs only with tracing off: per-hop spans
+    # exist only on the per-frame oracle path.
 
     def _receive_from_vf_batch(self, vf: VirtualFunction,
                                batch: FrameBatch) -> None:

@@ -19,7 +19,9 @@ could not reproduce it:
   -- a packet tracer, an armed chaos session, or a pending tenant
   migration or removal;
 - ``"unpaired tap observer"``: a tap observer without a batch twin,
-  which expects per-frame state (``Frame.timings``) batches lack;
+  which expects frames in wire order.  A batched link notifies its tap
+  one run per batch per settle, so across interleaved batches the
+  timestamps go backwards (:meth:`~repro.net.link.OpticalTap.observe`);
 - ``"cache-busting flows"``: randomized source ports, where every
   packet is its own flow and cannot share a batch;
 - ``"untimed deployment"``: no timed bridge, so nothing to batch.

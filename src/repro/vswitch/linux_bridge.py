@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs as _obs
 from repro.net.addresses import MacAddress
 from repro.net.interfaces import PortPair
 from repro.net.packet import Frame, FrameBatch
@@ -85,12 +86,12 @@ class LinuxBridge:
         return [hit], False
 
     def _ingress(self, in_index: int, frame: Frame) -> None:
-        frame.stamp(f"{self.name}.rx")
         if self.learns(frame.src_mac, in_index):
             self._mac_table[frame.src_mac] = in_index
             self.epoch += 1
         delay = self.delay
-        frame.charge("tenant", delay)
+        _obs.TRACER.hop(self.name, frame, "tenant.forward", "forwarded",
+                        delay)
         if self.sim is not None:
             self.sim.call_later(delay, self._forward, in_index, frame)
         else:
@@ -105,7 +106,6 @@ class LinuxBridge:
         self.forwarded += 1
         for i, out in enumerate(outs):
             out_frame = frame if i == len(outs) - 1 else frame.copy()
-            out_frame.stamp(f"{self.name}.tx")
             self._ports[out].transmit(out_frame)
 
     def _ingress_batch(self, in_index: int, batch: FrameBatch) -> None:

@@ -47,10 +47,6 @@ class BridgePort:
     pair: PortPair
     rx_frames: int = 0
     tx_frames: int = 0
-    #: Pre-built trace-stamp labels (the dataplane stamps every frame;
-    #: building the f-string per packet is measurable overhead).
-    rx_stamp: str = ""
-    tx_stamp: str = ""
 
 
 @dataclass
@@ -63,6 +59,11 @@ class _ForwardPlan:
     rewrites: bool = False
     dropped: bool = False
     drop_reason: Optional[str] = None
+    #: Timed mode: dispatch time, jitter wait and service time (None:
+    #: functional mode, which costs no time).
+    t_dispatch: Optional[float] = None
+    wait: float = 0.0
+    service: Optional[float] = None
 
 
 #: Step opcodes of a cached pass plan (see :class:`_PlanTemplate`).
@@ -388,7 +389,7 @@ class _SoloPlanGroup:
         self.plan = plan
         self.key = plan.in_port
         self.sub_ts = (now,)
-        self.svc = (plan._service_time,)  # type: ignore[attr-defined]
+        self.svc = (plan.service,)
         self._done: Optional[float] = None
 
     def commit(self, i: int, t: float) -> bool:
@@ -462,8 +463,6 @@ class OvsBridge:
         """Attach a port; the bridge becomes the consumer of ``pair``."""
         port = BridgePort(self._next_port_no, name, port_class, pair)
         self._next_port_no += 1
-        port.rx_stamp = f"{self.name}.p{port.port_no}.rx"
-        port.tx_stamp = f"{self.name}.p{port.port_no}.tx"
         self._ports[port.port_no] = port
         pair.rx.connect(lambda frame, p=port: self._ingress(p, frame))
         if self._batch_mode:
@@ -534,7 +533,7 @@ class OvsBridge:
         self._stations = [
             FairServiceStation(
                 self.sim,
-                service_time=lambda plan: plan._service_time,
+                service_time=lambda plan: plan.service,
                 on_done=self._execute,
                 queue_capacity=RX_RING_DEPTH,
                 name=f"{self.name}.core{i}",
@@ -581,7 +580,6 @@ class OvsBridge:
 
     def _ingress(self, port: BridgePort, frame: Frame) -> None:
         port.rx_frames += 1
-        frame.stamp(port.rx_stamp)
         key = emc_signature(frame, port.port_no)
         template = self._plan_cache.get(key)
         _obs.TRACER.bridge_rx(self.name, frame, port.port_no,
@@ -749,12 +747,9 @@ class OvsBridge:
             # second pass through the same bridge draw independently.
             key=(plan.frame.frame_id << 6) | (plan.in_port & 63),
         )
-        plan._service_time = timing.service  # type: ignore[attr-defined]
-        plan._t_dispatch = self.sim.now  # type: ignore[attr-defined]
-        plan.frame.charge("vswitch.service", timing.service)
-        wait = timing.wait
-        plan._pass_wait = wait  # type: ignore[attr-defined]
-        plan.frame.charge("vswitch.wait", wait)
+        plan.service = timing.service
+        plan.t_dispatch = self.sim.now
+        wait = plan.wait = timing.wait
         if wait > 0:
             self.sim.call_later(wait, self._submit, index, plan)
         else:
@@ -780,23 +775,16 @@ class OvsBridge:
             # Exact per-packet CPU attribution: the station spent the
             # plan's calibrated service time on this tenant's frame.
             # Functional mode (no stations) never costs service time.
-            service = getattr(plan, "_service_time", None)
-            if service is not None:
-                meter.cpu(plan.frame.tenant_id, service)
-        if self.sim is not None and hasattr(plan, "_t_dispatch"):
-            # This pass took wait + queue + service; anything beyond the
-            # known wait and service components is rx-ring queueing.
-            elapsed = self.sim.now - plan._t_dispatch
-            queued = max(0.0, elapsed - plan._pass_wait - plan._service_time)
-            plan.frame.charge("vswitch.queue", queued)
+            if plan.service is not None:
+                meter.cpu(plan.frame.tenant_id, plan.service)
         for i, port_no in enumerate(plan.out_ports):
             port = self._ports.get(port_no)
             if port is None:
                 continue
             frame = plan.frame if i == len(plan.out_ports) - 1 else plan.frame.copy()
             port.tx_frames += 1
-            frame.stamp(port.tx_stamp)
-            _obs.TRACER.bridge_tx(self.name, frame, port_no)
+            _obs.TRACER.bridge_tx(self.name, frame, port_no, plan.t_dispatch,
+                                  plan.wait, plan.service)
             port.pair.transmit(frame)
 
     # -- batched dataplane -------------------------------------------------
@@ -806,8 +794,8 @@ class OvsBridge:
     # counter bumps), gets per-member jittered timing in one loop, and
     # registers with its core's BatchFairStation as a single group.
     # Served members flow back out through _execute_batch as sub-batches.
-    # Runs only with tracing off; per-frame hop stamps and latency
-    # charges are not maintained on this path.
+    # Runs only with tracing off: per-hop spans exist only on the
+    # per-frame path.
 
     def _ingress_batch(self, port: BridgePort, batch: FrameBatch) -> None:
         """Batched ingress: classify once per flow bucket.

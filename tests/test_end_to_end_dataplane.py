@@ -3,6 +3,7 @@ and the NIC's enforcement, all at packet level through the DES."""
 
 import pytest
 
+from repro import obs
 from repro.core import (
     ResourceMode,
     SecurityLevel,
@@ -10,6 +11,7 @@ from repro.core import (
     build_deployment,
 )
 from repro.net import Frame, MacAddress
+from repro.sriov.switch import UPLINK
 from repro.traffic import TestbedHarness
 from tests.conftest import make_spec
 
@@ -17,7 +19,8 @@ LG_MAC = MacAddress.parse("02:1b:00:00:00:01")
 
 
 def run_one_frame(deployment, tenant=0):
-    """Inject one frame for a tenant and run the sim to completion."""
+    """Inject one frame for a tenant and run the sim to completion.
+    Returns the frame and its traced journey."""
     frame = Frame(
         src_mac=LG_MAC,
         dst_mac=deployment.ingress_dmac_for_tenant(tenant, 0),
@@ -26,37 +29,53 @@ def run_one_frame(deployment, tenant=0):
         flow_id=tenant,
         tenant_id=tenant,
     )
-    deployment.external_ingress(0).receive(frame)
-    deployment.sim.run(until=deployment.sim.now + 1.0)
-    return frame
+    with obs.tracing(deployment.sim) as tracer:
+        deployment.external_ingress(0).receive(frame)
+        deployment.sim.run(until=deployment.sim.now + 1.0)
+    return frame, tracer.journey(frame.frame_id)
+
+
+def hops(journey):
+    """(component, kind, outcome) of every span, in journey order."""
+    return [(s.component, s.kind, s.outcome) for s in journey]
 
 
 class TestIngressEgressChains:
-    """The step-by-step chains of Fig. 3, asserted on frame traces."""
+    """The step-by-step chains of Fig. 3, asserted on traced journeys."""
 
     def test_p2v_chain_visits_every_station(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2V)
         h = TestbedHarness(d)
-        frame = run_one_frame(d)
-        trace = frame.trace
+        _, journey = run_one_frame(d)
+        chain = hops(journey)
         # (1)-(2) in through the NIC to the vswitch's In/Out VF
-        assert trace[0] == "nic.p0.fabric.in"
-        assert any("pf0vf0.out" in t for t in trace)  # In/Out VF delivery
+        assert chain[0] == ("nic.p0", "nic.in", "fabric")
+        assert ("nic.p0", "nic.out", "pf0vf0") in chain  # In/Out VF delivery
         # (3) the vswitch forwards to the gateway VF
-        assert any(t.startswith("vsw0.br0") and t.endswith("rx") for t in trace)
+        rx = [i for i, (c, k, _) in enumerate(chain)
+              if c == "vsw0.br0" and k == "vswitch.rx"]
+        assert rx
         # (4)-(5) NIC delivers to the tenant VF; tenant l2fwd bounces it
-        assert any("tenant0.l2fwd.rx" == t for t in trace)
-        assert any("tenant0.l2fwd.tx" == t for t in trace)
-        # (6)-(10) egress through port 1 to the wire
-        assert trace[-1] == "nic.p1.fabric.out"
+        # back into the NIC
+        tenant = [i for i, (c, k, _) in enumerate(chain)
+                  if (c, k) == ("tenant0.l2fwd", "tenant.forward")]
+        assert len(tenant) == 1
+        assert rx[0] < tenant[0]
+        assert chain[tenant[0] - 1][:2] == ("nic.p0", "nic.out")
+        assert chain[tenant[0] + 1][:2] == ("nic.p1", "nic.filter")
+        assert chain[tenant[0] + 2][:2] == ("nic.p1", "nic.in")
+        # (6)-(10) egress through port 1's VEB to the wire
+        assert chain[-1] == ("link.dut-sink", "link.tx", "sent")
+        assert chain[-2][:2] == ("veb1", "veb.forward")
+        assert journey[-2].attrs["destinations"] == [UPLINK]
         assert h.sink.total == 1
 
     def test_p2v_frame_delivered_to_sink_with_external_gw_mac(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2V)
         h = TestbedHarness(d)
-        frame = run_one_frame(d)
+        frame, _ = run_one_frame(d)
         assert h.sink.per_flow[0] == 1
         assert frame.dst_mac == d.plan.external_gw_mac
 
@@ -84,18 +103,20 @@ class TestIngressEgressChains:
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2P)
         h = TestbedHarness(d)
-        frame = run_one_frame(d)
+        _, journey = run_one_frame(d)
         assert h.sink.total == 1
-        assert not any("l2fwd" in t for t in frame.trace)
+        assert not any("l2fwd" in s.component for s in journey)
+        assert all(s.kind != "tenant.forward" for s in journey)
 
     def test_v2v_chains_two_tenants(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.V2V)
         h = TestbedHarness(d)
-        frame = run_one_frame(d, tenant=0)
+        _, journey = run_one_frame(d, tenant=0)
         assert h.sink.total == 1
-        assert any("tenant0.l2fwd.rx" == t for t in frame.trace)
-        assert any("tenant1.l2fwd.rx" == t for t in frame.trace)
+        forwarders = [s.component for s in journey
+                      if s.kind == "tenant.forward"]
+        assert forwarders == ["tenant0.l2fwd", "tenant1.l2fwd"]
 
     def test_all_four_tenants_reachable(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_2, vms=2),
@@ -109,20 +130,23 @@ class TestIngressEgressChains:
         d = build_deployment(make_spec(level=SecurityLevel.BASELINE),
                              TrafficScenario.P2V)
         h = TestbedHarness(d)
-        frame = run_one_frame(d)
+        _, journey = run_one_frame(d)
         assert h.sink.total == 1
-        assert any("vhost-t0-0.h2g" == t for t in frame.trace)
-        assert any("tenant0.br0.rx" == t for t in frame.trace)
-        assert any("vhost-t0-1.g2h" == t for t in frame.trace)
+        timed = [(c, k, o) for c, k, o in hops(journey)
+                 if k in ("vhost.crossing", "tenant.forward")]
+        assert timed == [("vhost-t0-0", "vhost.crossing", "h2g"),
+                         ("tenant0.br0", "tenant.forward", "forwarded"),
+                         ("vhost-t0-1", "vhost.crossing", "g2h")]
 
     def test_baseline_v2v(self):
         d = build_deployment(make_spec(level=SecurityLevel.BASELINE),
                              TrafficScenario.V2V)
         h = TestbedHarness(d)
-        frame = run_one_frame(d, tenant=2)
+        _, journey = run_one_frame(d, tenant=2)
         assert h.sink.total == 1
-        assert any("tenant2.br0" in t for t in frame.trace)
-        assert any("tenant3.br0" in t for t in frame.trace)
+        forwarders = [s.component for s in journey
+                      if s.kind == "tenant.forward"]
+        assert forwarders == ["tenant2.br0", "tenant3.br0"]
 
 
 class TestCompleteMediation:
@@ -132,11 +156,16 @@ class TestCompleteMediation:
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2V)
         TestbedHarness(d)
-        frame = run_one_frame(d)
-        stations = [t for t in frame.trace if t.startswith(("nic.", "vsw", "tenant"))]
+        _, journey = run_one_frame(d)
+        stations = [s.kind for s in journey
+                    if s.kind in ("nic.in", "nic.out", "vswitch.rx",
+                                  "vswitch.tx", "tenant.forward")]
         # Between any vswitch hop and tenant hop there must be NIC hops.
-        tenant_idx = [i for i, t in enumerate(stations) if t.startswith("tenant")]
-        vsw_idx = [i for i, t in enumerate(stations) if t.startswith("vsw")]
+        tenant_idx = [i for i, k in enumerate(stations)
+                      if k == "tenant.forward"]
+        vsw_idx = [i for i, k in enumerate(stations)
+                   if k.startswith("vswitch.")]
+        assert tenant_idx and vsw_idx
         for ti in tenant_idx:
             for vi in vsw_idx:
                 low, high = min(ti, vi), max(ti, vi)

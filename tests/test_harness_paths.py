@@ -15,6 +15,7 @@ from repro.faults import campaign, scripted_crash
 from repro.faults.session import ChaosSession
 from repro.scenario import ScenarioSpec
 from repro.traffic import TestbedHarness
+from repro.traffic.capture import Capture
 
 DURATION = 0.004
 
@@ -129,6 +130,21 @@ class TestPathSelection:
         result = h.run(duration=DURATION)
         assert result.path == "batched"
         assert len(seen) == result.delivered
+
+    def test_unpaired_observer_sees_wire_order(self):
+        """Why an unpaired observer forces the oracle.  A batched link
+        notifies its tap one run per batch per settle, not in wire order
+        across batches: forced onto the batched path, an observer of
+        this run sees timestamps go backwards (143 times in 4,001
+        frames).  A capture expects wire order, and gets it."""
+        h = TestbedHarness(l2_deployment())
+        capture = Capture(max_records=10_000).attach_tap(h.egress_tap)
+        h.configure_tenant_flows(rate_per_flow_pps=50_000)
+        result = h.run(duration=0.02)
+        assert result.oracle_reason == "unpaired tap observer"
+        stamps = [record.timestamp for record in capture.records]
+        assert len(stamps) == capture.seen == result.sent > 4_000
+        assert stamps == sorted(stamps)
 
     def test_unpaired_observer_sees_batches_member_by_member(self):
         from repro.net import Frame, Link, MacAddress, OpticalTap, Port

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError, CoreExhaustedError, MemoryExhaustedError
 from repro.host import HostMemory, Hypervisor, Server, VhostPath, Vm, VmRole, VmSpec
 from repro.host.cpu import CorePool
@@ -186,9 +187,13 @@ class TestVhostPath:
         path = VhostPath(sim, "vh0")
         path.guest_side.rx.connect(lambda f: None)
         f = Frame(src_mac=MacAddress(1), dst_mac=MacAddress(2))
-        path.host_side.transmit(f)
-        sim.run()
-        assert "vh0.h2g" in f.trace
+        with obs.tracing(sim) as tracer:
+            path.host_side.transmit(f)
+            sim.run()
+        [span] = tracer.journey(f.frame_id)
+        assert (span.component, span.kind, span.outcome) == (
+            "vh0", "vhost.crossing", "h2g")
+        assert span.attrs["delay"] == path.costs.latency
 
     def test_default_costs_are_per_path(self):
         # A path built without ``costs`` gets its own instance: tuning

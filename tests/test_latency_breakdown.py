@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import ResourceMode, SecurityLevel, TrafficScenario
 from repro.core.spec import DeploymentSpec
 from repro.experiments.latency_breakdown import measure_breakdown
@@ -79,3 +80,37 @@ class TestTheSrIovStory:
     def test_wire_time_is_negligible_at_64b(self):
         parts = breakdown(SecurityLevel.LEVEL_1)
         assert parts["wire"] < 1 * USEC
+
+
+class TestRunsUnderTheTracer:
+    """The breakdown is a fold over packet-tracer spans, the simulator's
+    one per-frame record."""
+
+    def test_runs_traced_and_restores_an_outer_tracer(self, monkeypatch):
+        reasons = []
+        on_run_complete = obs.on_run_complete
+
+        def spy(harness, result):
+            reasons.append(result.oracle_reason)
+            on_run_complete(harness, result)
+
+        monkeypatch.setattr(obs, "on_run_complete", spy)
+        outer = obs.enable_tracing()
+        spec = DeploymentSpec(level=SecurityLevel.LEVEL_1)
+        try:
+            parts = measure_breakdown(spec, duration=0.03)
+            assert obs.TRACER is outer
+            assert len(outer) == 0  # the run's spans went to its own tracer
+        finally:
+            obs.disable_tracing()
+        assert reasons == ["tracer"]
+        assert parts["tenant"] > 0
+
+    def test_dropped_spans_fail_the_measurement(self, monkeypatch):
+        tracing = obs.tracing
+        monkeypatch.setattr(obs, "tracing",
+                            lambda sim: tracing(sim, capacity=100))
+        with pytest.raises(RuntimeError, match="dropped"):
+            measure_breakdown(DeploymentSpec(level=SecurityLevel.LEVEL_1),
+                              duration=0.03)
+        assert not obs.tracing_enabled()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import DeploymentSpec, ResourceMode, SecurityLevel
 from repro.core.multiserver import MultiServerCloud
 from repro.errors import ConfigurationError, ValidationError
@@ -125,12 +126,13 @@ class TestInterServerDataplane:
         vswitches and the leaf."""
         c = cloud()
         received = c.attach_sink(6)
-        frame = c.send_between_tenants(0, 6)
-        c.run()
+        with obs.tracing(c.sim) as tracer:
+            frame = c.send_between_tenants(0, 6)
+            c.run()
         assert len(received) == 1
-        trace = " ".join(frame.trace)
-        assert "leaf0" in trace            # crossed the fabric
-        assert "vsw0.br0" in trace         # source server's compartment
+        hops = {(s.component, s.kind) for s in tracer.journey(frame.frame_id)}
+        assert ("leaf0", "fabric.forward") in hops  # crossed the fabric
+        assert ("vsw0.br0", "vswitch.tx") in hops  # source compartment
 
     def test_reverse_direction(self):
         c = cloud()

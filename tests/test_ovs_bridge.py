@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.host.cpu import CorePool
 from repro.net import Frame, IPv4Address, MacAddress
 from repro.net.interfaces import PortPair
@@ -106,9 +107,13 @@ class TestPipeline:
         bridge.add_flow(FlowRule(match=FlowMatch(in_port=1),
                                  actions=[Output(2)]))
         f = frame()
-        pairs[0].rx.receive(f)
-        assert "br0.p1.rx" in f.trace
-        assert "br0.p2.tx" in f.trace
+        with obs.tracing() as tracer:
+            pairs[0].rx.receive(f)
+        journey = tracer.journey(f.frame_id)
+        ports = [(s.component, s.kind, s.attrs) for s in journey
+                 if s.kind in ("vswitch.rx", "vswitch.tx")]
+        assert ports == [("br0", "vswitch.rx", {"in_port": 1}),
+                         ("br0", "vswitch.tx", {"out_port": 2})]
 
 
 class TestNormalAction:

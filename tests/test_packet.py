@@ -1,4 +1,4 @@
-"""Frame model: VLAN handling, sizes, tracing, copies."""
+"""Frame model: VLAN handling, sizes, copies."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,18 +53,11 @@ class TestSize:
 
 
 class TestTraceAndCopy:
-    def test_stamp_appends(self):
-        f = frame()
-        f.stamp("a")
-        f.stamp("b")
-        assert f.trace == ["a", "b"]
-
     def test_copy_gets_fresh_identity_and_empty_trace(self):
+        # A fresh frame id is a fresh trace: the tracer keys spans by it.
         f = frame(vlan=7, flow_id=3, tenant_id=1)
-        f.stamp("hop")
         c = f.copy()
         assert c.frame_id != f.frame_id
-        assert c.trace == []
         assert c.vlan == 7
         assert c.flow_id == 3
         assert c.tenant_id == 1

@@ -2,10 +2,16 @@
 """Benchmark runner with regression gating.
 
 Runs the micro/e2e benchmark suite under pytest-benchmark and compares
-every benchmark's mean against the checked-in baseline
+every benchmark's min against the checked-in baseline
 (``BENCH_fastpath.json`` in the repo root).  A benchmark more than
-``--tolerance`` (default 20%) slower than its recorded mean fails the
-run -- the guard that keeps the lookup fast path fast.
+``--tolerance`` (default 20%) slower than its recorded min fails the
+run -- the guard that keeps the lookup fast path fast.  The plain e2e
+run is held tighter, to 1.1x its recorded min (the disabled metering
+tap).
+
+Then the same-run ratio gates (:data:`RATIO_GATES`): each divides one
+benchmark of this run by another, and is reported, gated against its
+bound and recorded in the baseline file, which is written once per run.
 
 Usage::
 
@@ -25,6 +31,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_fastpath.json")
@@ -32,73 +40,72 @@ BENCH_TARGETS = ("benchmarks/test_microbench.py",
                  "benchmarks/test_sweep.py",
                  "benchmarks/test_fabric.py")
 
-#: The observability-overhead pair: the e2e run with the tracer disabled
-#: (gated against the baseline like every benchmark) and the identical
-#: run with span recording enabled (reported as an overhead factor, not
-#: gated -- recording is opt-in and allowed to cost).
-OBS_DISABLED_BENCH = "test_e2e_des_packet_rate"
-OBS_ENABLED_BENCH = "test_e2e_traced_packet_rate"
+#: The plain e2e run (Fig. 5 L2, per-frame oracle): the denominator of
+#: the overhead gates and the numerator of the batch speedup.
+E2E_BENCH = "test_e2e_des_packet_rate"
 
-#: Maximum enabled-tracer overhead over the untraced e2e run.  The
-#: tracer records raw tuples on the hot path and materializes spans
-#: lazily at query time, so recording must stay cheap.
-OBS_GATE_MAX = 1.30
-
-#: The batched-fastpath pair: the per-frame oracle e2e run and the
-#: identical run through the struct-of-arrays mediation chain.  Their
-#: ratio is the batch speedup factor -- the PR's headline number,
-#: re-recorded into the baseline on every run and gated below.
-BATCH_E2E_BENCH = "test_e2e_batched_packet_rate"
-
-#: Minimum oracle-vs-batched speedup on the Fig. 5 L2 e2e scenario.
-#: ROADMAP targets 3x; 2.5x is the hard floor below which the batched
-#: chain is not paying for its complexity and the run fails.
-BATCH_GATE_MIN = 2.5
-
-#: The sweep-backend pair: the sequential 8-point sweep (gated like
-#: every benchmark) and the identical sweep through the warm worker
-#: pool.  The resulting speedup factor is re-recorded into the baseline
-#: on *every* run and gated on multi-core runners (below).
-SWEEP_SEQ_BENCH = "test_sweep_sequential_8pt"
-SWEEP_POOL_BENCH = "test_sweep_pool_8pt"
-
-#: Minimum pool-vs-sequential speedup on a runner with >= 4 available
-#: cores.  Below this the warm pool is not paying for itself and the
-#: run fails; on smaller runners the factor is recorded but not gated.
-SWEEP_GATE_MIN = 1.5
-SWEEP_GATE_CORES = 4
-
-#: The fabric pair: the same 8-server scenario through the hybrid
-#: (fluid background, per-packet study flows) and through the pure-DES
-#: oracle.  Their ratio is the hybrid's speedup factor -- re-recorded
-#: into the baseline on every run and gated below.
-FABRIC_HYBRID_BENCH = "test_fabric_hybrid_8s32t"
-FABRIC_DES_BENCH = "test_fabric_pure_des_8s32t"
-
-#: Minimum pure-DES-vs-hybrid speedup.  The hybrid exists to make
-#: fabric-scale runs affordable; below 5x it is not earning its
-#: modeling complexity and the run fails.
-FABRIC_GATE_MIN = 5.0
-
-#: The metering pair: the plain e2e run (the tap exists but is
-#: disabled) and the identical run with a MeteringSession armed.
-METERING_ON_BENCH = "test_e2e_metered_packet_rate"
-#: Metering ON may cost at most this much over the plain run.
-METERING_ON_GATE = 1.6
 #: Metering OFF (the guarded no-op tap on every hot-path site) may
 #: cost at most this much over the *recorded baseline* of the plain
 #: run -- a tighter screw than the general 20% regression tolerance,
 #: because the disabled tap is pure overhead for everyone.
 METERING_OFF_GATE = 1.1
 
-#: The control-plane pair: the plain e2e run and the identical run with
-#: an IDLE resident control plane sharing the simulator (heartbeat
-#: probes and autoscaler ticks fire, no tenants arrive).
-CONTROL_PLANE_BENCH = "test_e2e_controlplane_packet_rate"
-#: Maximum standing overhead the idle control plane may add to the e2e
-#: run.  The service is resident in every churn experiment, so its
-#: do-nothing cost must stay near-free.
-CONTROL_PLANE_GATE = 1.1
+
+@dataclass(frozen=True)
+class RatioGate:
+    """A factor taken within one run: ``min(slow) / min(fast)`` of a
+    benchmark pair, recorded in the baseline under ``key`` on every run
+    and bounded from above (an overhead, ``at_most``) or below (a
+    speedup, ``at_least``).  Both sides run on the same machine in the
+    same run, so a slower machine does not read as a regression."""
+
+    key: str
+    what: str
+    slow: str
+    fast: str
+    at_most: Optional[float] = None
+    at_least: Optional[float] = None
+    #: Gate only on runners with this many available cores (the factor
+    #: is still reported and recorded below that).
+    min_cores: int = 1
+
+
+RATIO_GATES = (
+    # Span recording is opt-in and allowed to cost, but the tracer
+    # records raw tuples and materializes spans lazily, so not much.
+    RatioGate("obs_overhead_factor", "enabled-tracer e2e overhead",
+              slow="test_e2e_traced_packet_rate", fast=E2E_BENCH,
+              at_most=1.30),
+    # Below 2.5x the struct-of-arrays chain is not paying for its
+    # complexity.
+    RatioGate("batch_e2e_speedup_factor",
+              "batched e2e speedup over the per-frame oracle",
+              slow=E2E_BENCH, fast="test_e2e_batched_packet_rate",
+              at_least=2.5),
+    # The warm worker pool over the sequential 8-point sweep; a process
+    # pool cannot beat sequential runs on fewer than four cores.
+    RatioGate("sweep_pool_speedup_factor",
+              "warm-pool sweep speedup over sequential",
+              slow="test_sweep_sequential_8pt", fast="test_sweep_pool_8pt",
+              at_least=1.5, min_cores=4),
+    # The 8-server fabric through the hybrid (fluid background,
+    # per-packet study flows) against the pure-DES oracle.
+    RatioGate("fabric_hybrid_speedup_factor",
+              "fabric hybrid speedup over pure DES",
+              slow="test_fabric_pure_des_8s32t",
+              fast="test_fabric_hybrid_8s32t", at_least=5.0),
+    # An armed MeteringSession over the plain run.
+    RatioGate("metering_overhead_factor", "metering-enabled e2e overhead",
+              slow="test_e2e_metered_packet_rate", fast=E2E_BENCH,
+              at_most=1.6),
+    # An idle resident control plane (heartbeats and autoscaler ticks,
+    # no tenants) sharing the simulator: resident in every churn
+    # experiment, so its do-nothing cost must stay near-free.
+    RatioGate("control_plane_overhead_factor",
+              "idle control-plane e2e overhead",
+              slow="test_e2e_controlplane_packet_rate", fast=E2E_BENCH,
+              at_most=1.1),
+)
 
 
 def available_cores() -> int:
@@ -178,333 +185,68 @@ def gate(current: dict, baseline: dict, tolerance: float,
     return 0
 
 
-def obs_overhead_factor(current: dict):
-    """min(enabled) / min(disabled) of the e2e pair, or None if either
-    benchmark is absent from the run."""
-    disabled = current.get(OBS_DISABLED_BENCH)
-    enabled = current.get(OBS_ENABLED_BENCH)
-    if not disabled or not enabled or not disabled["min_us"]:
-        return None
-    return enabled["min_us"] / disabled["min_us"]
+def ratio_factors(current: dict) -> Dict[RatioGate, float]:
+    """Each gate's factor, for the gates whose pair both ran."""
+    factors = {}
+    for g in RATIO_GATES:
+        slow, fast = current.get(g.slow), current.get(g.fast)
+        if slow and fast and fast["min_us"]:
+            factors[g] = slow["min_us"] / fast["min_us"]
+    return factors
 
 
-def report_obs_overhead(current: dict) -> None:
-    factor = obs_overhead_factor(current)
-    if factor is None:
-        return
-    print(f"\nObservability: enabled-tracer e2e overhead {factor:.2f}x "
-          f"({current[OBS_ENABLED_BENCH]['min_us']:.0f}us traced vs "
-          f"{current[OBS_DISABLED_BENCH]['min_us']:.0f}us disabled)")
+def report_ratios(current: dict, factors: Dict[RatioGate, float]) -> None:
+    print()
+    for g, factor in factors.items():
+        print(f"{g.what}: {factor:.2f}x (min {current[g.slow]['min_us']:.0f}"
+              f"us {g.slow} vs {current[g.fast]['min_us']:.0f}us {g.fast})")
 
 
-def gate_obs_overhead(current: dict) -> int:
-    """Fail the run when enabled-tracer recording costs more than the
-    budget over the untraced e2e run."""
-    factor = obs_overhead_factor(current)
-    if factor is None:
-        return 0
-    if factor > OBS_GATE_MAX:
-        print(f"Observability gate FAILED: {factor:.2f}x > "
-              f"{OBS_GATE_MAX}x enabled-tracer overhead")
-        return 1
-    print(f"Observability gate OK: {factor:.2f}x <= {OBS_GATE_MAX}x")
-    return 0
-
-
-def record_obs_overhead(current: dict) -> None:
-    """Persist the enabled-tracer overhead factor into the baseline on
-    every run, like the sweep and metering factors."""
-    factor = obs_overhead_factor(current)
-    if factor is None or not os.path.exists(BASELINE_PATH):
-        return
-    baseline = load_baseline()
-    baseline["obs_overhead_factor"] = round(factor, 3)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(baseline, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def batch_speedup_factor(current: dict):
-    """min(per-frame oracle) / min(batched) of the e2e pair, or None
-    if either benchmark is absent from the run."""
-    des = current.get(OBS_DISABLED_BENCH)
-    batched = current.get(BATCH_E2E_BENCH)
-    if not des or not batched or not batched["min_us"]:
-        return None
-    return des["min_us"] / batched["min_us"]
-
-
-def report_batch_speedup(current: dict) -> None:
-    factor = batch_speedup_factor(current)
-    if factor is None:
-        return
-    print(f"Batch: struct-of-arrays e2e speedup {factor:.2f}x over the "
-          f"per-frame oracle "
-          f"({current[OBS_DISABLED_BENCH]['min_us'] / 1e3:.0f}ms oracle vs "
-          f"{current[BATCH_E2E_BENCH]['min_us'] / 1e3:.0f}ms batched)")
-
-
-def record_batch_speedup(current: dict) -> None:
-    """Persist the batch speedup headline into the baseline on every
-    run, like the sweep and metering factors."""
-    factor = batch_speedup_factor(current)
-    if factor is None or not os.path.exists(BASELINE_PATH):
-        return
-    baseline = load_baseline()
-    baseline["batch_e2e_speedup_factor"] = round(factor, 3)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(baseline, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def gate_batch_speedup(current: dict) -> int:
-    """Fail the run when the batched chain stops paying for itself."""
-    factor = batch_speedup_factor(current)
-    if factor is None:
-        return 0
-    if factor < BATCH_GATE_MIN:
-        print(f"Batch speedup gate FAILED: {factor:.2f}x < "
-              f"{BATCH_GATE_MIN}x over the per-frame oracle")
-        return 1
-    print(f"Batch speedup gate OK: {factor:.2f}x >= {BATCH_GATE_MIN}x")
-    return 0
-
-
-def sweep_speedup_factor(current: dict):
-    """min(sequential) / min(pool) of the 8-point sweep pair, or None
-    if either benchmark is absent from the run."""
-    seq = current.get(SWEEP_SEQ_BENCH)
-    pool = current.get(SWEEP_POOL_BENCH)
-    if not seq or not pool or not pool["min_us"]:
-        return None
-    return seq["min_us"] / pool["min_us"]
-
-
-def report_sweep_speedup(current: dict) -> None:
-    factor = sweep_speedup_factor(current)
-    if factor is None:
-        return
-    cores = available_cores()
-    print(f"Sweep: warm-pool speedup {factor:.2f}x over sequential "
-          f"({current[SWEEP_SEQ_BENCH]['min_us'] / 1e6:.2f}s vs "
-          f"{current[SWEEP_POOL_BENCH]['min_us'] / 1e6:.2f}s for 8 "
-          f"scenarios on {cores} available core(s))")
-
-
-def record_sweep_speedup(current: dict) -> None:
-    """Persist the measured speedup factor into the baseline file on
-    every run, so BENCH_fastpath.json always carries the latest
-    pool-vs-sequential number next to the gated means."""
-    factor = sweep_speedup_factor(current)
-    if factor is None or not os.path.exists(BASELINE_PATH):
-        return
-    baseline = load_baseline()
-    baseline["sweep_pool_speedup_factor"] = round(factor, 3)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(baseline, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def gate_sweep_speedup(current: dict) -> int:
-    """Fail the run when the pool does not pay for itself on a machine
-    with enough cores to tell."""
-    factor = sweep_speedup_factor(current)
-    if factor is None:
-        return 0
-    cores = available_cores()
-    if cores < SWEEP_GATE_CORES:
-        print(f"Sweep speedup gate skipped: {cores} available core(s) "
-              f"< {SWEEP_GATE_CORES}")
-        return 0
-    if factor < SWEEP_GATE_MIN:
-        print(f"Sweep speedup gate FAILED: {factor:.2f}x < "
-              f"{SWEEP_GATE_MIN}x on {cores} cores")
-        return 1
-    print(f"Sweep speedup gate OK: {factor:.2f}x >= {SWEEP_GATE_MIN}x")
-    return 0
-
-
-def fabric_speedup_factor(current: dict):
-    """min(pure DES) / min(hybrid) of the fabric pair, or None if
-    either benchmark is absent from the run."""
-    des = current.get(FABRIC_DES_BENCH)
-    hybrid = current.get(FABRIC_HYBRID_BENCH)
-    if not des or not hybrid or not hybrid["min_us"]:
-        return None
-    return des["min_us"] / hybrid["min_us"]
-
-
-def report_fabric_speedup(current: dict) -> None:
-    factor = fabric_speedup_factor(current)
-    if factor is None:
-        return
-    print(f"Fabric: hybrid speedup {factor:.2f}x over pure DES "
-          f"({current[FABRIC_DES_BENCH]['min_us'] / 1e6:.2f}s oracle vs "
-          f"{current[FABRIC_HYBRID_BENCH]['min_us'] / 1e6:.2f}s hybrid)")
-
-
-def record_fabric_speedup(current: dict) -> None:
-    """Persist the hybrid speedup factor into the baseline file on
-    every run, like the sweep and metering factors."""
-    factor = fabric_speedup_factor(current)
-    if factor is None or not os.path.exists(BASELINE_PATH):
-        return
-    baseline = load_baseline()
-    baseline["fabric_hybrid_speedup_factor"] = round(factor, 3)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(baseline, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def gate_fabric_speedup(current: dict) -> int:
-    """Fail the run when the hybrid stops paying for itself."""
-    factor = fabric_speedup_factor(current)
-    if factor is None:
-        return 0
-    if factor < FABRIC_GATE_MIN:
-        print(f"Fabric speedup gate FAILED: {factor:.2f}x < "
-              f"{FABRIC_GATE_MIN}x over pure DES")
-        return 1
-    print(f"Fabric speedup gate OK: {factor:.2f}x >= {FABRIC_GATE_MIN}x")
-    return 0
-
-
-def metering_overhead_factor(current: dict):
-    """min(metered) / min(plain) of the e2e pair, or None if either
-    benchmark is absent from the run."""
-    plain = current.get(OBS_DISABLED_BENCH)
-    metered = current.get(METERING_ON_BENCH)
-    if not plain or not metered or not plain["min_us"]:
-        return None
-    return metered["min_us"] / plain["min_us"]
-
-
-def report_metering_overhead(current: dict) -> None:
-    factor = metering_overhead_factor(current)
-    if factor is None:
-        return
-    print(f"Billing: metering-enabled e2e overhead {factor:.2f}x "
-          f"({current[METERING_ON_BENCH]['min_us']:.0f}us metered vs "
-          f"{current[OBS_DISABLED_BENCH]['min_us']:.0f}us plain)")
-
-
-def record_metering_overhead(current: dict) -> None:
-    """Persist the metering-enabled factor into the baseline on every
-    run, like the sweep speedup factor."""
-    factor = metering_overhead_factor(current)
-    if factor is None or not os.path.exists(BASELINE_PATH):
-        return
-    baseline = load_baseline()
-    baseline["metering_overhead_factor"] = round(factor, 3)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(baseline, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def gate_metering(current: dict, baseline: dict,
-                  check_off: bool = True) -> int:
-    """Gate both sides of the metering cost: the armed session's
-    overhead against the plain run, and the disabled tap's drag
-    against the recorded baseline."""
+def gate_ratios(factors: Dict[RatioGate, float]) -> int:
+    """Fail the run when any factor is outside its bound."""
     rc = 0
-    factor = metering_overhead_factor(current)
-    if factor is not None:
-        if factor > METERING_ON_GATE:
-            print(f"Metering ON gate FAILED: {factor:.2f}x > "
-                  f"{METERING_ON_GATE}x over the plain e2e run")
-            rc = 1
+    cores = available_cores()
+    for g, factor in factors.items():
+        if cores < g.min_cores:
+            print(f"SKIPPED  {g.key}: {cores} available core(s) < "
+                  f"{g.min_cores}")
+            continue
+        if g.at_most is not None:
+            ok, bound = factor <= g.at_most, f"<= {g.at_most}x"
         else:
-            print(f"Metering ON gate OK: {factor:.2f}x <= "
-                  f"{METERING_ON_GATE}x")
-    if check_off:
-        plain = current.get(OBS_DISABLED_BENCH)
-        base = baseline.get("benchmarks", {}).get(OBS_DISABLED_BENCH)
-        if plain and base and base.get("min_us"):
-            off = plain["min_us"] / base["min_us"]
-            if off > METERING_OFF_GATE:
-                print(f"Metering OFF gate FAILED: plain e2e at "
-                      f"{off:.2f}x baseline > {METERING_OFF_GATE}x "
-                      "(the disabled tap is dragging the fast path)")
-                rc = 1
-            else:
-                print(f"Metering OFF gate OK: plain e2e at {off:.2f}x "
-                      f"baseline <= {METERING_OFF_GATE}x")
+            ok, bound = factor >= g.at_least, f">= {g.at_least}x"
+        print(f"{'OK' if ok else 'FAILED':<8} {g.key}: {factor:.2f}x "
+              f"(bound {bound})")
+        rc = max(rc, 0 if ok else 1)
     return rc
 
 
-def control_plane_overhead_factor(current: dict):
-    """min(resident control plane) / min(plain) of the e2e pair, or
-    None if either benchmark is absent from the run."""
-    plain = current.get(OBS_DISABLED_BENCH)
-    resident = current.get(CONTROL_PLANE_BENCH)
-    if not plain or not resident or not plain["min_us"]:
-        return None
-    return resident["min_us"] / plain["min_us"]
-
-
-def report_control_plane_overhead(current: dict) -> None:
-    factor = control_plane_overhead_factor(current)
-    if factor is None:
-        return
-    print(f"Control plane: idle resident-service e2e overhead "
-          f"{factor:.2f}x "
-          f"({current[CONTROL_PLANE_BENCH]['min_us']:.0f}us resident vs "
-          f"{current[OBS_DISABLED_BENCH]['min_us']:.0f}us plain)")
-
-
-def record_control_plane_overhead(current: dict) -> None:
-    """Persist the idle control-plane factor into the baseline on
-    every run, like the sweep and metering factors."""
-    factor = control_plane_overhead_factor(current)
-    if factor is None or not os.path.exists(BASELINE_PATH):
-        return
-    baseline = load_baseline()
-    baseline["control_plane_overhead_factor"] = round(factor, 3)
-    with open(BASELINE_PATH, "w") as handle:
-        json.dump(baseline, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def gate_control_plane(current: dict) -> int:
-    """Fail the run when an idle control plane drags the e2e run."""
-    factor = control_plane_overhead_factor(current)
-    if factor is None:
+def gate_metering_off(current: dict, baseline: dict) -> int:
+    """The plain e2e run against its *recorded* baseline: the disabled
+    metering tap must not drag the fast path."""
+    plain = current.get(E2E_BENCH)
+    base = baseline.get("benchmarks", {}).get(E2E_BENCH)
+    if not plain or not base or not base.get("min_us"):
         return 0
-    if factor > CONTROL_PLANE_GATE:
-        print(f"Control-plane gate FAILED: {factor:.2f}x > "
-              f"{CONTROL_PLANE_GATE}x idle-resident overhead")
+    off = plain["min_us"] / base["min_us"]
+    if off > METERING_OFF_GATE:
+        print(f"FAILED   metering off: plain e2e at {off:.2f}x baseline > "
+              f"{METERING_OFF_GATE}x (the disabled tap is dragging the "
+              "fast path)")
         return 1
-    print(f"Control-plane gate OK: {factor:.2f}x <= "
-          f"{CONTROL_PLANE_GATE}x")
+    print(f"OK       metering off: plain e2e at {off:.2f}x baseline "
+          f"(bound <= {METERING_OFF_GATE}x)")
     return 0
 
 
-def update_baseline(current: dict, baseline: dict) -> None:
+def write_baseline(baseline: dict, factors: Dict[RatioGate, float]) -> None:
+    """Write the baseline file once, with this run's factors."""
     baseline = dict(baseline)
-    baseline["benchmarks"] = current
-    factor = obs_overhead_factor(current)
-    if factor is not None:
-        baseline["obs_overhead_factor"] = round(factor, 3)
-    batch = batch_speedup_factor(current)
-    if batch is not None:
-        baseline["batch_e2e_speedup_factor"] = round(batch, 3)
-    speedup = sweep_speedup_factor(current)
-    if speedup is not None:
-        baseline["sweep_pool_speedup_factor"] = round(speedup, 3)
-    fabric = fabric_speedup_factor(current)
-    if fabric is not None:
-        baseline["fabric_hybrid_speedup_factor"] = round(fabric, 3)
-    metering = metering_overhead_factor(current)
-    if metering is not None:
-        baseline["metering_overhead_factor"] = round(metering, 3)
-    control = control_plane_overhead_factor(current)
-    if control is not None:
-        baseline["control_plane_overhead_factor"] = round(control, 3)
+    for g, factor in factors.items():
+        baseline[g.key] = round(factor, 3)
     with open(BASELINE_PATH, "w") as handle:
         json.dump(baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"Baseline rewritten: {BASELINE_PATH} "
-          f"({len(current)} benchmarks)")
 
 
 def main() -> int:
@@ -529,22 +271,15 @@ def main() -> int:
 
     partial = set(args.targets) != set(BENCH_TARGETS)
     baseline = load_baseline()
+    factors = ratio_factors(current)
     if args.update:
-        update_baseline(current, baseline)
-        report_obs_overhead(current)
-        report_batch_speedup(current)
-        report_metering_overhead(current)
-        report_control_plane_overhead(current)
-        report_sweep_speedup(current)
-        report_fabric_speedup(current)
-        rc = gate_obs_overhead(current)
-        rc = max(rc, gate_batch_speedup(current))
-        rc = max(rc, gate_sweep_speedup(current))
-        rc = max(rc, gate_fabric_speedup(current))
-        rc = max(rc, gate_control_plane(current))
-        # The off-side compares against the baseline this run just
-        # rewrote, so only the on-side factor is meaningful here.
-        return max(rc, gate_metering(current, baseline, check_off=False))
+        write_baseline(dict(baseline, benchmarks=current), factors)
+        print(f"Baseline rewritten: {BASELINE_PATH} "
+              f"({len(current)} benchmarks)")
+        report_ratios(current, factors)
+        # The metering-off check would compare against the baseline
+        # this run just rewrote: only the ratio gates mean anything.
+        return gate_ratios(factors)
     if not baseline.get("benchmarks"):
         print(f"No baseline at {BASELINE_PATH}; run with --update first.",
               file=sys.stderr)
@@ -552,24 +287,10 @@ def main() -> int:
     print(f"\nGating against {BASELINE_PATH} "
           f"(tolerance {args.tolerance:.0%}):")
     rc = gate(current, baseline, args.tolerance, partial=partial)
-    report_obs_overhead(current)
-    report_batch_speedup(current)
-    report_metering_overhead(current)
-    report_control_plane_overhead(current)
-    report_sweep_speedup(current)
-    report_fabric_speedup(current)
-    rc = max(rc, gate_obs_overhead(current))
-    rc = max(rc, gate_batch_speedup(current))
-    rc = max(rc, gate_sweep_speedup(current))
-    rc = max(rc, gate_fabric_speedup(current))
-    rc = max(rc, gate_control_plane(current))
-    rc = max(rc, gate_metering(current, baseline))
-    record_obs_overhead(current)
-    record_batch_speedup(current)
-    record_sweep_speedup(current)
-    record_metering_overhead(current)
-    record_fabric_speedup(current)
-    record_control_plane_overhead(current)
+    report_ratios(current, factors)
+    rc = max(rc, gate_ratios(factors), gate_metering_off(current, baseline))
+    if factors:
+        write_baseline(baseline, factors)
     return rc
 
 
