@@ -347,6 +347,45 @@ def test_e2e_traced_packet_rate(benchmark):
     assert benchmark(run) == 8001
 
 
+def _cache_busting_run(batch):
+    """The policy-injection experiment's L1 run, shortened: 40 kpps of
+    randomized-source-port traffic and three 10 kpps victims, p2v."""
+    from repro.core import SecurityLevel, TrafficScenario, build_deployment
+    from repro.core.spec import DeploymentSpec
+    from repro.experiments import policy_injection as pi
+    from repro.traffic import TestbedHarness
+
+    spec = DeploymentSpec(level=SecurityLevel.LEVEL_1)
+    d = build_deployment(spec, TrafficScenario.P2V)
+    h = TestbedHarness(d, batch=batch)
+    h.add_tenant_flow(pi.ATTACKER, pi.ATTACK_RATE_PPS,
+                      randomize_src_port=True)
+    for victim in pi.VICTIMS:
+        h.add_tenant_flow(victim, pi.VICTIM_RATE_PPS)
+    result = h.run(duration=0.03)
+    return result.sent, result.delivered, result.path
+
+
+@pytest.mark.benchmark(group="e2e")
+def test_e2e_cache_busting_oracle_rate(benchmark):
+    """The cache-busting shape on the per-frame oracle: every frame
+    misses the flow cache and pays an upcall.  tool/bench.py divides
+    this benchmark's min by test_e2e_cache_busting_batched_rate's for
+    the cache-busting speedup factor (gated >= 2x)."""
+    sent, _, path = benchmark(_cache_busting_run, False)
+    assert (sent, path) == (2100, "oracle")
+
+
+@pytest.mark.benchmark(group="e2e")
+def test_e2e_cache_busting_batched_rate(benchmark):
+    """The same run on the batched chain (the default), with the
+    identical sent and delivered counts as the oracle."""
+    oracle = _cache_busting_run(False)
+    result = benchmark(_cache_busting_run, True)
+    assert result[:2] == oracle[:2]
+    assert result[2] == "batched"
+
+
 @pytest.mark.benchmark(group="e2e")
 def test_e2e_controlplane_packet_rate(benchmark):
     """The same Fig. 5 e2e run with an IDLE resident control plane

@@ -419,10 +419,10 @@ class Deployment:
         if route is not None:
             self._route_cache[key] = route
         elif not retryable:
-            # A cold downstream template/flow cache warms up within the
-            # flow's first bursts and a Linux bridge's table follows
-            # traffic; every other failure is config-stable until an
-            # epoch bump, so the negative result is cacheable.
+            # A cold downstream plan template warms up within the flow's
+            # first bursts and a Linux bridge's table follows traffic;
+            # every other failure is config-stable until an epoch bump,
+            # so the negative result is cacheable.
             self._route_cache[key] = _NO_FUSE
         return route, retryable
 
@@ -430,14 +430,12 @@ class Deployment:
     def _route_valid(route) -> bool:
         """Whether every leg of a cached (possibly chained) route still
         holds: same plan template and port count at its bridge, the
-        megaflow entry still cached, the forwarder unchanged."""
+        forwarder unchanged."""
         while route is not None:
             bridge2 = route.bridge
             if not (bridge2._plan_cache.get(route.template_key)
                     is route.template
                     and len(bridge2._ports) == route.num_ports
-                    and (route.flow_key is None
-                         or route.flow_key in bridge2.cache._entries)
                     and (route.app is None
                          or route.app.epoch == route.app_epoch)):
                 return False
@@ -455,20 +453,23 @@ class Deployment:
         pass; VEB decision is a single non-uplink function; a Linux
         bridge already knows the source and forwards to one port; the
         terminal bridge holds a warm, non-dropping, single-egress plan
-        template (and megaflow entry) for the arriving header, and that
-        template's own egress either resolves to an unbounded margin
+        template for the arriving header, and that template's own
+        egress either resolves to an unbounded margin
         (fabric-bound -- the downstream station is the *last*
         timestamp-sensitive point) or is itself fused (``route.next``:
         the chain continues).  Returns ``(route | None, retryable)``;
-        retryable failures are the ones traffic can cure: cold
-        downstream caches, and any Linux-bridge table state.
+        retryable failures are the ones traffic can cure: a cold
+        downstream plan template, and any Linux-bridge table state.  The
+        downstream microflow lookup needs no warm entry: members
+        register it with the downstream cache (see
+        :class:`~repro.vswitch.megaflow.MegaflowCache`).
         """
         from repro.sim.hashjit import HashJitter
         from repro.sriov.filters import FilterAction, SpoofCheck
         from repro.sriov.nic import VEB_LATENCY
         from repro.sriov.pcie import DMA_LATENCY
         from repro.sriov.switch import UPLINK, VebSwitch
-        from repro.vswitch.megaflow import emc_signature, flow_signature
+        from repro.vswitch.megaflow import flow_signature
         from repro.vswitch.ovs import _APPLY, _ForwardPlan, _FusedRoute
         if len(plan.out_ports) != 1:
             return None, False
@@ -546,7 +547,7 @@ class Deployment:
         bridge2, port2 = target
         if not bridge2._batch_mode or not bridge2._stations:
             return None, False
-        key2 = emc_signature(frame, port2.port_no)
+        key2 = bridge2.plan_key(frame, port2.port_no)
         template = bridge2._plan_cache.get(key2)
         if template is None:
             return None, True  # warms up with the flow's first bursts
@@ -556,13 +557,6 @@ class Deployment:
         for op, action, _rule in template.steps:
             if op == _APPLY:
                 action.apply(frame3)
-        flow_key = None
-        if bridge2.cache is not None:
-            # The microflow lookup happens post-replay, so the entry is
-            # keyed on the pass's *output* header.
-            flow_key = flow_signature(frame3, port2.port_no)
-            if flow_key not in bridge2.cache._entries:
-                return None, True
         plan2 = _ForwardPlan(frame=frame3, in_port=port2.port_no,
                              out_ports=list(template.out_ports),
                              rewrites=template.rewrites)
@@ -593,7 +587,10 @@ class Deployment:
         route.in_port_no = port2.port_no
         route.template = template
         route.template_key = key2
-        route.flow_key = flow_key
+        # The microflow lookup happens post-replay, so it is keyed on the
+        # pass's *output* header; members bring their own L4 ports.
+        route.flow_head = flow_signature(frame3, port2.port_no)[:7]
+        route.dst_port = frame3.dst_port
         route.out_ports = list(template.out_ports)
         route.model = bridge2.model
         route.share = bridge2._shares[index2]
@@ -610,7 +607,9 @@ class Deployment:
         if station is bridge._stations[plan.frame.flow_id
                                        % len(bridge._stations)]:
             # Members re-enter the station that serves them: a commit
-            # only touches that station's own pending heap.
+            # only touches that station's own pending heap (and its
+            # bridge's microflow cache, whose resolution first brings
+            # the other stations up to date).
             route.lookahead = _INF
         else:
             # The registration's floor: fixed legs, the forwarder's base

@@ -172,6 +172,11 @@ class Link:
             self._settle(_INF)
         self._watermark = watermark
 
+    def settle(self, upto: float) -> None:
+        """Serialize the held members ready by ``upto`` now; later ones
+        stay held (a run's end: the per-frame path has not sent them)."""
+        self._settle(upto)
+
     def send_batch(self, batch: FrameBatch) -> None:
         """Hand over a batch (``ts`` ascending: member ready times).
 
@@ -193,19 +198,27 @@ class Link:
 
         Each held batch with settled members goes out as one run: one
         tap notification and one delivery per batch per call, however
-        often the wire switched between batches.
+        often the wire switched between batches.  Members that arrive
+        after the kernel's stop time are delivered by an event at their
+        arrival instead, as a per-frame send delivers.
         """
+        stop = self.sim.stop_time
         for batch, first, starts, arrivals, _ in \
                 self._chain(self._held, upto).values():
             if first == 0 and len(arrivals) == len(batch):
                 run = batch
                 run.ts = arrivals
             else:
-                end = first + len(arrivals)
-                run = FrameBatch(batch.frame, batch.frame_ids[first:end],
-                                 arrivals, batch.created_at[first:end])
+                run = batch.run(first, first + len(arrivals), arrivals)
             if self.tap is not None:
                 self.tap._notify_batch(run, starts)
+            if arrivals[-1] > stop:
+                k = bisect_right(arrivals, stop)
+                late = run.run(k, len(run), arrivals[k:])
+                self.sim.schedule(late.ts[0], self._deliver_batch, late)
+                if not k:
+                    continue
+                run = run.run(0, k, arrivals[:k])
             self._deliver_batch(run)
 
     def _chain(self, heap: List[Tuple[float, int, FrameBatch, int]],

@@ -180,7 +180,12 @@ class FrameBatch:
     - ``frame_ids`` -- member identities (latency pairing, jitter keys),
     - ``ts`` -- where each member *is* in time: mutated in place as the
       batch advances through analytic hops,
-    - ``created_at`` -- original emission times (immutable).
+    - ``created_at`` -- original emission times (immutable),
+    - ``src_ports`` -- per-member L4 source ports, or None when every
+      member has the exemplar's.  Set for randomized-source-port flows
+      (the policy-injection traffic), where every member is its own
+      microflow; no hop rewrites L4 ports, so the list only follows the
+      members through splits, sorts and copies.
 
     ``ts`` is kept sorted ascending; hops with per-member jitter re-sort
     via :meth:`advance_per_member`.  The batch contract throughout the
@@ -193,14 +198,17 @@ class FrameBatch:
     instead of dispatching again.
     """
 
-    __slots__ = ("frame", "frame_ids", "ts", "created_at", "fused_sink")
+    __slots__ = ("frame", "frame_ids", "ts", "created_at", "src_ports",
+                 "fused_sink")
 
     def __init__(self, frame: Frame, frame_ids: List[int], ts: List[float],
-                 created_at: Optional[List[float]] = None) -> None:
+                 created_at: Optional[List[float]] = None,
+                 src_ports: Optional[List[int]] = None) -> None:
         self.frame = frame
         self.frame_ids = frame_ids
         self.ts = ts
         self.created_at = created_at if created_at is not None else list(ts)
+        self.src_ports = src_ports
         self.fused_sink = None
 
     def __len__(self) -> int:
@@ -225,15 +233,16 @@ class FrameBatch:
             self.ts = [ts[i] for i in order]
             self.frame_ids = [self.frame_ids[i] for i in order]
             self.created_at = [self.created_at[i] for i in order]
+            if self.src_ports is not None:
+                self.src_ports = [self.src_ports[i] for i in order]
 
-    def fork(self, indices: List[int]) -> "FrameBatch":
-        """Sub-batch of ``indices`` with its own exemplar header."""
-        return FrameBatch(
-            self.frame.replica(),
-            [self.frame_ids[i] for i in indices],
-            [self.ts[i] for i in indices],
-            [self.created_at[i] for i in indices],
-        )
+    def run(self, first: int, end: int, ts: List[float]) -> "FrameBatch":
+        """Members ``first:end`` at times ``ts``, sharing the exemplar
+        (a link's settled run of a held batch)."""
+        ports = self.src_ports
+        return FrameBatch(self.frame, self.frame_ids[first:end], ts,
+                          self.created_at[first:end],
+                          None if ports is None else ports[first:end])
 
     def fanout_copies(self, m: int) -> List["FrameBatch"]:
         """``m`` batch copies with *fresh* member ids (fan-out).
@@ -251,11 +260,13 @@ class FrameBatch:
             for j in range(m):
                 ids[j][i] = next(_frame_ids)
         out = []
+        ports = self.src_ports
         for j in range(m):
             clone = self.frame.replica()
             clone.frame_id = ids[j][0]
             out.append(FrameBatch(clone, ids[j], list(self.ts),
-                                  list(self.created_at)))
+                                  list(self.created_at),
+                                  None if ports is None else list(ports)))
         return out
 
     def frame_at(self, i: int) -> Frame:
@@ -263,4 +274,6 @@ class FrameBatch:
         clone = self.frame.replica()
         clone.frame_id = self.frame_ids[i]
         clone.created_at = self.created_at[i]
+        if self.src_ports is not None:
+            clone.src_port = self.src_ports[i]
         return clone

@@ -10,6 +10,8 @@ from repro import obs as _obs
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
+_INF = float("inf")
+
 
 class RecurringEvent:
     """Handle for a :meth:`Simulator.every` timer.
@@ -102,6 +104,19 @@ class Simulator:
         """
         until = self._until
         return self._now if until is None else until
+
+    @property
+    def stop_time(self) -> float:
+        """The last instant the clock reaches before observables can be
+        read: the running ``run(until=...)`` call's ``until``, ``inf``
+        during a run without one, ``now`` between runs.  Batched hops
+        that handle members ahead of their timestamps count only the
+        members that get there by it, as per-frame events would.
+        """
+        if self._running:
+            until = self._until
+            return _INF if until is None else until
+        return self._now
 
     @property
     def events_fired(self) -> int:

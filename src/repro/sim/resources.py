@@ -257,6 +257,10 @@ class BatchFairStation:
         self._finish_at = 0.0
         self._wake_event = None
         self._wake_time = 0.0
+        #: The wake a partial catch-up cancelled: revived if the replay
+        #: arms the same instant again (keeps cancelled events from
+        #: piling up in the kernel's heap).
+        self._spare = None
         #: True while _wake runs: submits then leave arming to the end
         #: of the wake (flushes re-enter submit_group inline).
         self._in_wake = False
@@ -286,7 +290,10 @@ class BatchFairStation:
         ``flush(now)`` / ``oldest_commit()`` calls.  ``drop_range``
         gets the indices of several members ring-dropped at once; it
         never includes the member admitted last, so it never completes
-        the group.
+        the group.  A service time may be None until the member's
+        service starts: the station then asks ``lookups.final(i)`` (the
+        bridge's microflow lookups decide it, resolved up to the
+        member's arrival), so service times are final before a start.
         """
         sub_ts = group.sub_ts
         n = len(sub_ts)
@@ -341,15 +348,21 @@ class BatchFairStation:
                 f"{self.name}: member registered at t={ts}, behind the "
                 f"station clock {clock}")
 
-    def catch_up(self) -> None:
-        """Replay every step due by now.
+    def catch_up(self, upto: Optional[float] = None) -> None:
+        """Replay every step due by ``upto`` (default: now).
 
         For code that reads the station (busy time, ring drops, held
-        groups) while a busy period may still be unreplayed.
+        groups) while a busy period may still be unreplayed, and for a
+        sibling station that needs this one's commits up to ``upto``
+        registered (a shared flow cache resolving in arrival order).
         """
-        if self._wake_event is not None and not self._in_wake:
-            self._wake_event.cancel()
-            self._wake()
+        event = self._wake_event
+        if event is not None and not self._in_wake:
+            event.cancel()
+            if upto is not None:
+                self._spare = event
+            self._wake(upto)
+            self._spare = None
 
     def drain(self) -> None:
         """Flush held sub-batches that can still flush safely.
@@ -364,16 +377,17 @@ class BatchFairStation:
         now = self.sim.now
         # Flushing can complete *other* dirty groups (a fused upstream
         # group's flush seals its downstream sink), so work off a
-        # snapshot and let re-entrant removals target the live list.
-        groups = self._dirty
-        self._dirty = []
-        self._finite = 0
-        for group in groups:
+        # snapshot and let re-entrant removals target the live list.  A
+        # group leaves the list only once it holds no commit: until
+        # then the egress hold's watermark must still see it (a fused
+        # sink cannot flush before its upstream's traversal brings the
+        # header).
+        dirty = self._dirty
+        for group in list(dirty):
             if group.margin == _INF or group.is_done():
                 group.flush(now)
-            else:
-                self._dirty.append(group)
-                self._finite += 1
+                if group.oldest_commit() is None:
+                    self._clean(dirty, group)
 
     def oldest_unflushed(self) -> Optional[float]:
         """Earliest finish of a member this station may still hand on.
@@ -397,6 +411,19 @@ class BatchFairStation:
             if t is not None and (oldest is None or t < oldest):
                 oldest = t
         return oldest
+
+    def replay_position(self) -> float:
+        """The step a running wake replays, else the next step the
+        station will replay (``inf``: none).  Every service started so
+        far started at or before it, and every commit still to come
+        comes at or after it."""
+        if self._in_wake:
+            return self._clock
+        if self._inflight is not None:
+            return self._finish_at
+        if self._pending:
+            return self._pending[0][0]
+        return _INF
 
     def dropped(self) -> int:
         return self._drops
@@ -454,15 +481,22 @@ class BatchFairStation:
         # Schedule at ``at`` itself: ``now + (at - now)`` can miss it by
         # an ulp, and the admission time then differs from the oracle's.
         now = self.sim.now
-        self._wake_event = self.sim.schedule(at if at > now else now,
-                                             self._wake)
+        when = at if at > now else now
+        spare = self._spare
+        if spare is not None and spare.time == when:
+            spare.cancelled = False
+            self._wake_event = spare
+        else:
+            self._wake_event = self.sim.schedule(when, self._wake)
         self._wake_time = at
 
-    def _wake(self) -> None:
-        """Replay every step due by now, then arm the next wake."""
+    def _wake(self, upto: Optional[float] = None) -> None:
+        """Replay every step due by ``upto`` (default: now), then arm the
+        next wake."""
         self._wake_event = None
         self._in_wake = True
-        upto = self.sim.now
+        if upto is None:
+            upto = self.sim.now
         pending = self._pending
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
@@ -588,6 +622,8 @@ class BatchFairStation:
                     inflight = ring.popleft()
                     group, i = inflight
                     duration = group.svc[i]
+                    if duration is None:
+                        duration = group.lookups.final(i)
                     if duration < 0:
                         raise ValueError(
                             f"negative service time {duration} at "

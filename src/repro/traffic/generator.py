@@ -37,7 +37,8 @@ class FlowConfig:
     tunnel_id: Optional[int] = None
     #: Draw a fresh random source port per packet: every packet then
     #: misses the vswitch's flow cache (the policy-injection DoS
-    #: traffic pattern).
+    #: traffic pattern).  Batched emission carries the ports per member
+    #: (``FrameBatch.src_ports``), drawn in the per-frame path's order.
     randomize_src_port: bool = False
 
     def __post_init__(self) -> None:
@@ -90,14 +91,10 @@ class LoadGenerator:
         #: Emit bursts as struct-of-arrays :class:`FrameBatch` objects
         #: instead of per-frame sends (the batched fast path).  Set by
         #: the harness; requires every downstream hop the batch reaches
-        #: untraced operation, and is ignored for randomized-src-port
-        #: flows (each such packet genuinely differs).
+        #: untraced operation.  A randomized-src-port flow's batches
+        #: carry one port per member, drawn from :attr:`rng` in the
+        #: order per-frame emission draws them.
         self.batch = False
-
-    def supports_batching(self) -> bool:
-        """Batched emission is exact only when every frame of a flow
-        shares one header signature."""
-        return not any(f.randomize_src_port for f in self.flows)
 
     def add_flow(self, flow: FlowConfig) -> None:
         self.flows.append(flow)
@@ -169,7 +166,9 @@ class LoadGenerator:
         The same merged-order pop as :meth:`_emit` decides which frames
         the burst contains, and frame ids are drawn in that merged
         order, so ids (and everything keyed by them -- jitter draws,
-        latency pairing) are identical to the per-frame path.  The link
+        latency pairing) are identical to the per-frame path.  So are
+        the source ports of randomized-src-port flows: one
+        ``rng.randint`` per member, run by run in merged order.  The link
         then busy-chains all members in merged timestamp order via
         :meth:`~repro.net.link.Link.send_interleaved`, which breaks
         timestamp ties by batch position: batches go in flow-index
@@ -201,7 +200,8 @@ class LoadGenerator:
                     head_t, head_i = head[0], head[1]
             data = per_flow.get(i)
             if data is None:
-                data = (flow, [], [])
+                data = (flow, [], [], [] if flow.randomize_src_port
+                        else None)
                 per_flow[i] = data
             ts = data[2]
             gap = 1.0 / flow.rate_pps
@@ -215,6 +215,11 @@ class LoadGenerator:
                         or (t == head_t and i > head_i)):
                     break
             runs.append((data[1], first, emitted))
+            ports = data[3]
+            if ports is not None:
+                randint = self.rng.randint
+                ports.extend([randint(1024, 65535)
+                              for _ in range(emitted - first)])
             heapq.heapreplace(schedule, (t, i, flow))
         ids = next_frame_ids(emitted)
         for out, lo, hi in runs:
@@ -222,7 +227,7 @@ class LoadGenerator:
         if per_flow:
             batches = []
             for i in sorted(per_flow):
-                flow, ids, ts = per_flow[i]
+                flow, ids, ts, ports = per_flow[i]
                 exemplar = Frame(
                     src_mac=flow.src_mac,
                     dst_mac=flow.dst_mac,
@@ -237,7 +242,8 @@ class LoadGenerator:
                     tunnel_id=flow.tunnel_id,
                     frame_id=ids[0],
                 )
-                batches.append(FrameBatch(exemplar, ids, ts))
+                batches.append(FrameBatch(exemplar, ids, ts,
+                                          src_ports=ports))
                 self.sent += len(ids)
             self.link.send_interleaved(batches)
         if schedule and schedule[0][0] < self._stop_at:

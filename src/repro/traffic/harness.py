@@ -22,9 +22,11 @@ could not reproduce it:
   which expects frames in wire order.  A batched link notifies its tap
   one run per batch per settle, so across interleaved batches the
   timestamps go backwards (:meth:`~repro.net.link.OpticalTap.observe`);
-- ``"cache-busting flows"``: randomized source ports, where every
-  packet is its own flow and cannot share a batch;
 - ``"untimed deployment"``: no timed bridge, so nothing to batch.
+
+Cache-busting flows (randomized source ports, the policy-injection
+traffic) run batched: members carry their own ports and each is
+charged the microflow miss its per-frame twin would take.
 """
 
 from __future__ import annotations
@@ -165,8 +167,6 @@ class TestbedHarness:
             return reason
         if self.ingress_tap.unpaired or self.egress_tap.unpaired:
             return "unpaired tap observer"
-        if not self.lg.supports_batching():
-            return "cache-busting flows"
         if not self.deployment.supports_batched_fastpath():
             return "untimed deployment"
         return None
@@ -181,6 +181,7 @@ class TestbedHarness:
                 f"duration={duration}")
         offered = self.lg.aggregate_rate_pps
         self.deployment.set_offered_rate_hint(offered)
+        end = self.sim.now + duration + cooldown
         # The running scenario's fault plan attaches here, so any
         # harness-based workload is chaos-capable without changes.
         # Arming it marks the deployment, so it comes before the path.
@@ -203,18 +204,26 @@ class TestbedHarness:
             self.egress_link.hold(self.deployment.batch_watermark)
             # Unbounded-margin groups hold until their burst completes;
             # bursts cut short by the end of traffic need a sweep while
-            # the simulation is still running.
+            # the simulation is still running, and members served by
+            # the end of the run from bursts a busy core never finished
+            # (a backlog longer than the cooldown) a last one.
             self.sim.call_later(duration + cooldown * 0.5,
                                 self.deployment.drain_batches)
+            self.sim.schedule(end, self.deployment.drain_batches)
+        else:
+            # A batched run before this one may have left a hold.
+            self.egress_link.hold(None)
         # Likewise for metering: a spec that asked for billing gets a
         # session that windows usage while this run executes.  It comes
         # after the path: it snapshots the stations the fast path swaps.
         meter_session = (ctx.attach_metering(self, horizon=duration)
                          if ctx is not None else None)
         self.lg.start(duration)
-        self.sim.run(until=self.sim.now + duration + cooldown)
-        # Settle what the egress hold still keeps back.
-        self.egress_link.hold(None)
+        self.sim.run(until=end)
+        # Settle what the egress hold keeps back and the per-frame path
+        # has sent by now; what it has not stays held.
+        if reason is None:
+            self.egress_link.settle(end)
         t0, t1 = warmup, duration
         delivered = self.monitor.delivered_in_window(t0, t1)
         result = HarnessResult(

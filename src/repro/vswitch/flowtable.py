@@ -356,6 +356,11 @@ class FlowTable:
 
     # -- introspection -----------------------------------------------------
 
+    def matches_l4_ports(self) -> bool:
+        """Whether any rule constrains the L4 source or destination
+        port (the index groups rules by which fields they match)."""
+        return any(mask[8] or mask[9] for mask in self._groups)
+
     def tenants(self) -> List[int]:
         """Distinct tenant ids present in the table (the shared-table
         blast-radius metric used by the security analysis)."""

@@ -17,6 +17,7 @@ can run in two modes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -36,7 +37,8 @@ RX_RING_DEPTH = 512
 from repro.vswitch.actions import Action, ActionType
 from repro.vswitch.datapath import DatapathMode, DatapathModel, PassCosts, PortClass
 from repro.vswitch.flowtable import FlowRule, FlowTable
-from repro.vswitch.megaflow import MegaflowCache, emc_signature
+from repro.vswitch.megaflow import (DeferredLookups, MegaflowCache,
+                                    emc_signature, flow_signature)
 
 
 @dataclass
@@ -103,8 +105,11 @@ class _FusedRoute:
     egress leads -- through NIC/VEB/PCIe or vhost legs and at most one
     tenant forwarder (l2fwd or Linux bridge) -- deterministically to
     another (or the same) bridge's batch station, with a warm plan
-    template and megaflow entry waiting there, and beyond it either an
-    unbounded flush margin or another fused route (``next``).  A fused
+    template waiting there, and beyond it either an unbounded flush
+    margin or another fused route (``next``).  The downstream pass's
+    microflow lookup needs no warm entry: each member registers it with
+    the downstream cache (key ``flow_head`` plus the member's L4
+    ports), which resolves it in arrival order like any other.  A fused
     pass group uses it to *pre-register* each member at the downstream
     station the moment the member commits upstream, deferring the
     physical chain traversal to one accounting sweep per burst.
@@ -119,8 +124,8 @@ class _FusedRoute:
 
     __slots__ = ("legs", "l2fwd_base", "drain_interval", "drain_unit",
                  "drain_site", "app", "app_epoch", "bridge",
-                 "in_port_no", "template", "template_key", "flow_key",
-                 "out_ports", "model", "share", "num_queues",
+                 "in_port_no", "template", "template_key", "flow_head",
+                 "dst_port", "out_ports", "model", "share", "num_queues",
                  "num_ports", "jitter", "key_or", "station", "cycles",
                  "lookahead", "next")
 
@@ -132,8 +137,11 @@ class _FusedSink:
     commit*, before any later hop re-sorts batch arrays) and is sealed
     when the upstream group can no longer grow.  Like a batched pass,
     it reads its core share once, when made (once per upstream burst):
-    every member gets the same service time and wait routine.  The
-    exemplar header arrives later, on the burst's single accounting
+    every member gets the same service time and wait routine, plus the
+    upcall when its microflow lookup misses (registered with the
+    downstream cache at registration, resolved before its service
+    starts).  The exemplar header arrives later, on the burst's single
+    accounting
     traversal of the physical chain; by then every member is already
     admitted (or ring-dropped) downstream.  Duck-types the group
     protocol of :class:`~repro.sim.resources.BatchFairStation` and the
@@ -149,36 +157,52 @@ class _FusedSink:
     margin = _INF
 
     __slots__ = ("route", "bridge", "key", "out_ports", "svc", "batch",
-                 "sink", "lookahead", "_service", "_wait", "_ids",
-                 "_created", "_done_idx", "_done_ts", "_submitted",
-                 "_resolved", "_sealed")
+                 "sink", "lookahead", "lookups", "_service", "_wait",
+                 "_ids", "_created", "_ports", "_src_port", "_done_idx",
+                 "_done_ts", "_submitted", "_resolved", "_sealed")
 
-    def __init__(self, route: _FusedRoute) -> None:
+    def __init__(self, route: _FusedRoute, src_port: Optional[int]) -> None:
+        """``src_port``: the members' shared L4 source port, or None when
+        each member brings its own to :meth:`register`."""
         self.route = route
         self.bridge = route.bridge
         self.key = route.in_port_no
         self.out_ports = route.out_ports
-        self.svc: List[float] = []
+        self.svc: List[Optional[float]] = []
         self.batch: Optional[FrameBatch] = None
         #: The chained sink's own downstream sink (made on first commit).
         self.sink: Optional[_FusedSink] = None
         self.lookahead = (route.next.lookahead if route.next is not None
                           else _INF)
         share = route.share
-        self._service = route.cycles / share.effective_hz()
+        hz = share.effective_hz()
+        self._service = route.cycles / hz
         self._wait = route.model.pass_wait(route.jitter, share.sharers,
                                            route.num_queues)
         self._ids: List[int] = []
         self._created: List[float] = []
+        self._ports: Optional[List[int]] = [] if src_port is None else None
+        self._src_port = src_port
+        cache = self.bridge.cache
+        self.lookups: Optional[DeferredLookups] = None
+        if cache is not None:
+            key = (None if src_port is None
+                   else route.flow_head + (src_port, route.dst_port))
+            self.lookups = cache.defer(
+                key, [] if src_port is None else None, [], self.svc,
+                self._service, (route.cycles + cache.upcall_cycles) / hz,
+                open_=True)
         self._done_idx: List[int] = []
         self._done_ts: List[float] = []
         self._submitted = 0
         self._resolved = 0
         self._sealed = False
 
-    def register(self, frame_id: int, created_at: float, t: float) -> None:
+    def register(self, frame_id: int, created_at: float, t: float,
+                 src_port: Optional[int] = None) -> None:
         """Pre-register a member that finished upstream at ``t``: its
-        arrival at the route's station, and its service there."""
+        arrival at the route's station, its microflow lookup there, and
+        its service."""
         route = self.route
         arrival = t
         for leg in route.legs:
@@ -190,7 +214,18 @@ class _FusedSink:
         self._submitted = j + 1
         self._ids.append(frame_id)
         self._created.append(created_at)
-        self.svc.append(self._service)
+        lookups = self.lookups
+        if self._ports is not None:
+            self._ports.append(src_port)
+            self.svc.append(lookups.add(arrival, route.flow_head
+                                        + (src_port, route.dst_port))
+                            if lookups is not None else self._service)
+        elif lookups is not None and not lookups.bulk:
+            self.svc.append(lookups.add(arrival))
+        else:
+            if lookups is not None:
+                lookups.ts.append(arrival)  # a known hit: count it later
+            self.svc.append(self._service)
         # The pass wait is one sum, as in OvsBridge._dispatch.
         route.station.submit_member(
             self, j, arrival + self._wait((frame_id << 6) | route.key_or))
@@ -204,11 +239,13 @@ class _FusedSink:
         """
         if self.batch is None:
             self.batch = FrameBatch(part.frame, self._ids, [],
-                                    self._created)
+                                    self._created, self._ports)
 
     def seal(self) -> None:
         """Upstream group exhausted: the member set is final."""
         self._sealed = True
+        if self.lookups is not None:
+            self.lookups.close()
         if self._resolved == self._submitted:
             self.flush(self.bridge.sim.now)
             try:
@@ -223,8 +260,10 @@ class _FusedSink:
         onward = self.route.next
         if onward is not None:
             if self.sink is None:
-                self.sink = _FusedSink(onward)
-            self.sink.register(self._ids[j], self._created[j], t)
+                self.sink = _FusedSink(onward, self._src_port)
+            self.sink.register(
+                self._ids[j], self._created[j], t,
+                None if self._ports is None else self._ports[j])
         self._done_idx.append(j)
         self._done_ts.append(t)
         return len(self._done_idx) == 1
@@ -266,11 +305,13 @@ class _BatchPassGroup:
     downstream as one sub-batch through the bridge's ``_execute_batch``.
     A member's first effect outside the station is that flush, no
     earlier than its margin requires, so the lookahead is the margin.
+    ``lookups`` holds the members' microflow lookups when the bridge
+    has a cache (service times are final once they resolve).
     """
 
     __slots__ = ("bridge", "batch", "key", "sub_ts", "svc", "margin",
-                 "lookahead", "out_ports", "rewrites", "_done_idx",
-                 "_done_ts", "_remaining")
+                 "lookahead", "out_ports", "rewrites", "lookups",
+                 "_done_idx", "_done_ts", "_remaining")
 
     def __init__(self, bridge: "OvsBridge", batch: FrameBatch,
                  plan: "_ForwardPlan", sub_ts: List[float],
@@ -284,6 +325,7 @@ class _BatchPassGroup:
         self.lookahead = margin
         self.out_ports = plan.out_ports
         self.rewrites = plan.rewrites
+        self.lookups: Optional[DeferredLookups] = None
         self._done_idx: List[int] = []
         self._done_ts: List[float] = []
         #: Members still expected to commit or drop; 0 means the
@@ -342,10 +384,13 @@ class _FusedPassGroup(_BatchPassGroup):
 
     def commit(self, i: int, t: float) -> bool:
         sink = self.sink
-        if sink is None:
-            sink = self.sink = _FusedSink(self.route)
         batch = self.batch
-        sink.register(batch.frame_ids[i], batch.created_at[i], t)
+        ports = batch.src_ports
+        if sink is None:
+            sink = self.sink = _FusedSink(
+                self.route, batch.frame.src_port if ports is None else None)
+        sink.register(batch.frame_ids[i], batch.created_at[i], t,
+                      None if ports is None else ports[i])
         self._remaining -= 1
         self._done_idx.append(i)
         self._done_ts.append(t)
@@ -375,21 +420,24 @@ class _SoloPlanGroup:
     Lets the classic per-frame ingress (plan-cache misses, traced runs)
     share one admission heap with batched arrivals.  Margin and
     lookahead 0: the plan executes at ``sim.now`` of its own finish
-    wake, exactly when the per-frame station would have run it.
+    wake, exactly when the per-frame station would have run it.  Made
+    at dispatch, so its microflow lookup registers at the frame's
+    arrival; submitted (``sub_ts`` set) after the pass wait.
     """
 
-    __slots__ = ("bridge", "plan", "key", "sub_ts", "svc", "_done")
+    __slots__ = ("bridge", "plan", "key", "sub_ts", "svc", "lookups",
+                 "_done")
 
     margin = 0.0
     lookahead = 0.0
 
-    def __init__(self, bridge: "OvsBridge", plan: "_ForwardPlan",
-                 now: float) -> None:
+    def __init__(self, bridge: "OvsBridge", plan: "_ForwardPlan") -> None:
         self.bridge = bridge
         self.plan = plan
         self.key = plan.in_port
-        self.sub_ts = (now,)
-        self.svc = (plan.service,)
+        self.sub_ts = ()
+        self.svc: List[Optional[float]] = [plan.service]
+        self.lookups: Optional[DeferredLookups] = None
         self._done: Optional[float] = None
 
     def commit(self, i: int, t: float) -> bool:
@@ -408,6 +456,7 @@ class _SoloPlanGroup:
     def flush(self, now: float) -> None:
         if self._done is not None:
             self._done = None
+            self.plan.service = self.svc[0]
             self.bridge._execute(self.plan)
 
 
@@ -428,8 +477,11 @@ class OvsBridge:
         #: draws on the per-frame and batched paths).
         self._jitter = HashJitter.from_name(name)
         #: Exact-match cache over whole pipeline passes: header signature
-        #: -> replayable plan.  Flushed whenever any table changes.
+        #: (:meth:`plan_key`) -> replayable plan.  Flushed whenever any
+        #: table changes.  A cache of pipeline walks, not modelled state.
         self._plan_cache: Dict[tuple, _PlanTemplate] = {}
+        #: No rule in any table matches L4 ports: plans ignore them.
+        self._port_blind = True
         self.plan_cache_hits = 0
         self.plan_cache_invalidations = 0
         #: OpenFlow-style multi-table pipeline; table 0 always exists
@@ -503,6 +555,18 @@ class OvsBridge:
         if self._plan_cache:
             self.plan_cache_invalidations += 1
             self._plan_cache.clear()
+        self._port_blind = not any(
+            table.matches_l4_ports() for table in self.tables.values())
+
+    def plan_key(self, frame: Frame, port_no: int) -> tuple:
+        """The pass-plan memo key: every header field the tables can
+        match.  L4 ports count only while some rule matches on them, so
+        randomized source ports (cache-busting flows) share one plan."""
+        if self._port_blind:
+            return (port_no, frame.src_mac, frame.dst_mac, frame.ethertype,
+                    frame.src_ip, frame.dst_ip, frame.proto, frame.vlan,
+                    frame.tunnel_id)
+        return emc_signature(frame, port_no)
 
     def flow_table(self, table_id: int) -> FlowTable:
         """Get (creating if needed) a pipeline table."""
@@ -566,6 +630,40 @@ class OvsBridge:
         for port in self._ports.values():
             port.pair.rx.connect_batch(
                 lambda batch, p=port: self._ingress_batch(p, batch))
+        if self.cache is not None:
+            if len(self._stations) == 1:
+                self.cache.order(self.sim, self._lookup_frontier)
+            else:
+                self.cache.order(self.sim, None, self._catch_up_to)
+
+    def _lookup_frontier(self) -> float:
+        """Bound for the cache's arrival-ordered resolution on a
+        one-core bridge: no lookup still to be registered here arrives
+        before it, and no member whose service has started arrived
+        after it.
+
+        Lookups register at most the kernel datapath's fixed wait after
+        their arrival (a fused registration lands up to one route
+        lookahead after its upstream commit), except the core's own
+        re-entering members, which register at commits it has not
+        replayed yet, after its replay position; and a service starts at
+        least the fixed wait after its arrival.  The wait is shrunk so
+        that float rounding keeps both sides true.
+        """
+        model = self.model
+        late = (model.costs.fixed_latency * (1.0 - 1e-9)
+                if model.mode == DatapathMode.KERNEL else 0.0)
+        t = self.sim.now
+        position = self._stations[0].replay_position()
+        return (position if position < t else t) - late
+
+    def _catch_up_to(self, t: float) -> None:
+        """Replay every core's steps due by ``t``: a core's re-entering
+        members register their lookups at its commits, which a lazy
+        replay may not have reached yet."""
+        for station in self._stations:
+            if station.replay_position() <= t:
+                station.catch_up(t)
 
     @property
     def num_cores(self) -> int:
@@ -580,7 +678,7 @@ class OvsBridge:
 
     def _ingress(self, port: BridgePort, frame: Frame) -> None:
         port.rx_frames += 1
-        key = emc_signature(frame, port.port_no)
+        key = self.plan_key(frame, port.port_no)
         template = self._plan_cache.get(key)
         _obs.TRACER.bridge_rx(self.name, frame, port.port_no,
                               template is not None)
@@ -735,11 +833,13 @@ class OvsBridge:
         cycles = self.model.pass_cycles(
             in_class, out_class, plan.rewrites, num_ports=len(self._ports)
         )
-        if self.cache is not None:
-            cycles += self.cache.lookup_cost(plan.frame, plan.in_port)
+        cache = self.cache
+        if cache is not None and not self._batch_mode:
+            cycles += cache.lookup_cost(plan.frame, plan.in_port)
+        hz = share.effective_hz()
         timing = self.model.timing(
             cycles,
-            effective_hz=share.effective_hz(),
+            effective_hz=hz,
             sharers=share.sharers,
             num_queues=len(self._stations),
             jitter=self._jitter,
@@ -748,21 +848,30 @@ class OvsBridge:
             key=(plan.frame.frame_id << 6) | (plan.in_port & 63),
         )
         plan.service = timing.service
-        plan.t_dispatch = self.sim.now
+        plan.t_dispatch = now = self.sim.now
+        item = plan
+        if self._batch_mode:
+            item = _SoloPlanGroup(self, plan)
+            if cache is not None:
+                # Resolved in arrival order with the batched lookups.
+                item.lookups = cache.defer(
+                    flow_signature(plan.frame, plan.in_port), None, [now],
+                    item.svc, timing.service,
+                    (cycles + cache.upcall_cycles) / hz)
         wait = plan.wait = timing.wait
         if wait > 0:
-            self.sim.call_later(wait, self._submit, index, plan)
+            self.sim.call_later(wait, self._submit, index, item)
         else:
-            self._submit(index, plan)
+            self._submit(index, item)
 
-    def _submit(self, index: int, plan: _ForwardPlan) -> None:
+    def _submit(self, index: int, item) -> None:
         # Keyed by ingress port: each port's rx ring gets a fair share
         # of the core under overload (NAPI/PMD round-robin polling).
         if self._batch_mode:
-            self._stations[index].submit_group(
-                _SoloPlanGroup(self, plan, self.sim.now))
+            item.sub_ts = (self.sim.now,)
+            self._stations[index].submit_group(item)
         else:
-            self._stations[index].submit(plan.in_port, plan)
+            self._stations[index].submit(item.in_port, item)
 
     def rx_drops(self) -> int:
         """Frames dropped at full rx rings (timed mode)."""
@@ -802,19 +911,21 @@ class OvsBridge:
 
         Only plan-cache hits batch -- a cached plan is callback-free and
         header-determined, so one replay with multiplied counters is
-        exact.  On a miss (or in functional mode) members take the
-        per-frame path at their own timestamps: the first walk installs
-        the plan at the right simulated time, and the flow's *next*
-        burst batches.
+        exact.  Members with their own source ports share the plan while
+        no rule matches L4 ports (:meth:`plan_key`).  On a miss (or in
+        functional mode, or for per-member ports some rule could tell
+        apart) members take the per-frame path at their own timestamps:
+        the first walk installs the plan at the right simulated time,
+        and the flow's *next* burst batches.
         """
         sink = batch.fused_sink
         if sink is not None:
             self._ingress_accounting(port, batch, sink)
             return
         frame = batch.frame
-        key = emc_signature(frame, port.port_no)
-        template = self._plan_cache.get(key)
-        if template is None or not self._stations:
+        template = self._plan_cache.get(self.plan_key(frame, port.port_no))
+        if (template is None or not self._stations
+                or (batch.src_ports is not None and not self._port_blind)):
             sim = self.sim
             for i, t in enumerate(batch.ts):
                 sim.schedule(t, self._ingress, port, batch.frame_at(i))
@@ -836,18 +947,19 @@ class OvsBridge:
         """Replay a fused burst's pass at this bridge, sans dispatch.
 
         The members were already admitted at (and served by) the
-        station when their upstream commits pre-registered them; this
-        traversal replays the observable side effects of the pass --
-        port/table/cache counters, header rewrites on the exemplar --
-        and hands the header to the sink that emits the burst.
+        station when their upstream commits pre-registered them (and
+        their microflow lookups); this traversal replays the observable
+        side effects of the pass -- port/table counters, header rewrites
+        on the exemplar -- and hands the header to the sink that emits
+        the burst.
         """
-        n = len(batch)
+        # Members arriving after the kernel's stop time have not reached
+        # this bridge when the run's counters are read.
+        n = bisect_right(batch.ts, self.sim.stop_time)
         port.rx_frames += n
         self.plan_cache_hits += n
         self._replay_batch(sink.route.template, port, batch.frame, n)
         self.passes += n
-        if self.cache is not None:
-            self.cache.lookup_cost_batch(batch.frame, port.port_no, n)
         sink.attach_part(batch)
 
     def _replay_batch(self, template: _PlanTemplate, port: BridgePort,
@@ -881,7 +993,9 @@ class OvsBridge:
     def _dispatch_batch(self, plan: _ForwardPlan, batch: FrameBatch) -> None:
         """Timed mode for a whole bucket: per-member jittered timing
         (identical draws to the per-frame path -- keyed by frame id and
-        ingress port), one group registration with the flow's core."""
+        ingress port), the members' microflow lookups registered with
+        the cache (a miss adds its upcall to that member's service), one
+        group registration with the flow's core."""
         model = self.model
         assert model is not None
         index = plan.frame.flow_id % len(self._stations)
@@ -890,14 +1004,9 @@ class OvsBridge:
         in_class = self._ports[plan.in_port].port_class
         cycles = model.pass_cycles(
             in_class, out_class, plan.rewrites, num_ports=len(self._ports))
-        extra = 0.0
-        if self.cache is not None:
-            # Only the first member can miss; the rest hit the entry it
-            # installs and cost nothing extra.
-            extra = self.cache.lookup_cost_batch(plan.frame, plan.in_port,
-                                                 len(batch))
+        hz = share.effective_hz()
         svc, waits = model.timing_batch(
-            cycles + extra, cycles, effective_hz=share.effective_hz(),
+            cycles, cycles, effective_hz=hz,
             sharers=share.sharers, num_queues=len(self._stations),
             jitter=self._jitter, keys=batch.frame_ids,
             key_shift_or=plan.in_port & 63)
@@ -909,6 +1018,19 @@ class OvsBridge:
                 self, batch, plan, sub_ts, svc, margin)
         else:
             group = _BatchPassGroup(self, batch, plan, sub_ts, svc, margin)
+        cache = self.cache
+        if cache is not None:
+            key = flow_signature(plan.frame, plan.in_port)
+            keys = None
+            ports = batch.src_ports
+            if ports is not None:
+                head = key[:7]
+                tail = key[8]
+                keys = [head + (p, tail) for p in ports]
+                key = None
+            group.lookups = cache.defer(
+                key, keys, ts, svc, svc[0],
+                (cycles + cache.upcall_cycles) / hz)
         self._stations[index].submit_group(group)
 
     def _execute_batch(self, group: _BatchPassGroup) -> None:
@@ -921,11 +1043,13 @@ class OvsBridge:
             svc = group.svc
             meter.cpu(batch.frame.tenant_id,
                       sum(svc[i] for i in idx), n)
+        ports = batch.src_ports
         sub = FrameBatch(
             batch.frame.replica(),
             [batch.frame_ids[i] for i in idx],
             list(group._done_ts),
             [batch.created_at[i] for i in idx],
+            None if ports is None else [ports[i] for i in idx],
         )
         sub.fused_sink = getattr(group, "sink", None)
         out_ports = group.out_ports

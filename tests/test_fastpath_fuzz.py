@@ -651,18 +651,27 @@ class TestBenchmarkShapes:
                 assert oracle[:3] == batched[:3], label
 
 
-def _fused_shape_run(spec, traffic, rates, duration, batch):
+def _fused_shape_run(spec, traffic, rates, duration, batch, randomized=(),
+                     capacity=None, rng=None):
     """One harness run of a Fig. 5 shape with one flow per rate: every
     observable the exactness contract compares, the kernel events the
     run took per sent frame, and the longest fused-route chain the run
-    resolved (0: none)."""
+    resolved (0: none).  Tenants in ``randomized`` draw a random source
+    port per frame, from ``rng`` when given; ``capacity`` resizes every
+    bridge's flow cache."""
     from repro.core import build_deployment
     from repro.traffic import TestbedHarness
 
     d = build_deployment(spec, traffic, seed=5)
+    if capacity is not None:
+        for bridge in d.bridges:
+            bridge.cache.capacity = capacity
     h = TestbedHarness(d, batch=batch)
+    if rng is not None:
+        h.lg.rng = rng
     for tenant, rate in enumerate(rates):
-        h.add_tenant_flow(tenant, rate)
+        h.add_tenant_flow(tenant, rate,
+                          randomize_src_port=tenant in randomized)
     events = d.sim.events_fired
     result = h.run(duration=duration, warmup=duration / 5)
     events = d.sim.events_fired - events
@@ -680,6 +689,8 @@ def _fused_shape_run(spec, traffic, rates, duration, batch):
                       nicd.unconfigured_vf, nicd.rate_limited),
         "loss": mon.loss_count(),
         "unmatched": mon.unmatched_egress,
+        "caches": {b.name: (b.cache.stats, len(b.cache)) for b in d.bridges},
+        "rng": h.lg.rng.getstate(),
     }, events / result.sent, _longest_chain(d)
 
 
@@ -763,3 +774,92 @@ class TestFusedRouteShapes:
                   TrafficScenario.V2V: 2}[traffic]
         assert chain == passes
         assert batched_ev < oracle_ev / 5, (batched_ev, oracle_ev)
+
+
+class _ThreePorts(random.Random):
+    """Source ports that collide: every draw is one of three ports."""
+
+    def randint(self, a, b):
+        return a + int(self.random() * 3)
+
+
+def _policy_injection_configurations():
+    from repro.experiments import policy_injection
+
+    return policy_injection.configurations()
+
+
+def _cache_busting_cases():
+    """(id, spec, traffic, randomized tenants, capacity, rng factory).
+
+    One 40 kpps randomized-source-port flow next to three 10 kpps
+    victims (the policy-injection load) unless said otherwise."""
+    from repro.core import ResourceMode, SecurityLevel, TrafficScenario
+    from repro.core.spec import DeploymentSpec
+
+    p2v, v2v = TrafficScenario.P2V, TrafficScenario.V2V
+    cases = [(f"policy-injection-{spec.label}", spec, p2v, (0,), None,
+              None) for spec in _policy_injection_configurations()]
+    l1 = DeploymentSpec(level=SecurityLevel.LEVEL_1)
+    cases += [
+        ("Baseline+L3-p2v",
+         DeploymentSpec(level=SecurityLevel.BASELINE, user_space=True,
+                        resource_mode=ResourceMode.ISOLATED),
+         p2v, (0,), None, None),
+        ("L2(2)-v2v", DeploymentSpec(level=SecurityLevel.LEVEL_2,
+                                     num_vswitch_vms=2),
+         v2v, (0,), None, None),
+        ("L1-colliding-ports", l1, p2v, (0,), None,
+         lambda: _ThreePorts(0)),
+        ("L1-16-entry-cache", l1, p2v, (0,), 16, None),
+        ("Baseline(2)-16-entry-cache",
+         DeploymentSpec(level=SecurityLevel.BASELINE, baseline_cores=2,
+                        resource_mode=ResourceMode.ISOLATED),
+         p2v, (0,), 16, None),
+    ]
+    return cases
+
+
+class TestCacheBustingShapes:
+    """Randomized source ports on the batched chain against the
+    per-frame oracle: every member charged the microflow miss its
+    per-frame twin takes, in arrival order, LRU evictions included."""
+
+    def _both(self, spec, traffic, rates, duration, **kwargs):
+        runs = []
+        for batch in (False, True):
+            rng = kwargs.get("rng")
+            kw = dict(kwargs, rng=rng() if rng is not None else None)
+            runs.append(_fused_shape_run(spec, traffic, rates, duration,
+                                         batch, **kw))
+        (oracle, oracle_ev, _), (batched, batched_ev, _) = runs
+        assert oracle.pop("path") == "oracle"
+        assert batched.pop("path") == "batched"
+        for key in oracle:
+            assert oracle[key] == batched[key], key
+        return oracle, oracle_ev, batched_ev
+
+    def test_evicting_cache_charges_every_member(self):
+        """Four uniform 20 kpps flows through a 4-entry cache: each
+        frame's two passes need eight entries, so the cache evicts
+        throughout.  Charging the miss only to a batch's first member,
+        and touching the LRU at batch-event time, delivered all 1,600
+        frames where the oracle delivers 747."""
+        from repro.core import SecurityLevel, TrafficScenario
+        from repro.core.spec import DeploymentSpec
+
+        oracle, _, _ = self._both(
+            DeploymentSpec(level=SecurityLevel.LEVEL_1),
+            TrafficScenario.P2V, (20_000.0,) * 4, 0.02, capacity=4)
+        (stats, size), = oracle["caches"].values()
+        assert (oracle["delivered"], stats.evictions, size) == (747, 667, 4)
+
+    @pytest.mark.parametrize(
+        "case", _cache_busting_cases(), ids=lambda case: case[0])
+    def test_matches_oracle(self, case):
+        label, spec, traffic, randomized, capacity, rng = case
+        _, oracle_ev, batched_ev = self._both(
+            spec, traffic, (40_000.0, 10_000.0, 10_000.0, 10_000.0), 0.02,
+            randomized=randomized, capacity=capacity, rng=rng)
+        if label.startswith("policy-injection"):
+            assert batched_ev < oracle_ev / 3, (batched_ev, oracle_ev)

@@ -73,7 +73,6 @@ ORACLE_CASES = [
     ("chaos", _chaos),
     ("lifecycle", _lifecycle),
     ("unpaired tap observer", _unpaired),
-    ("cache-busting flows", _cache_busting),
     ("untimed deployment", _untimed),
 ]
 
@@ -98,6 +97,16 @@ class TestPathSelection:
         assert (result.path, result.oracle_reason) == ("oracle", reason)
         assert h.oracle_reason == reason
         assert h.lg.batch is False
+        assert result.delivered > 0
+
+    def test_cache_busting_runs_batched(self):
+        """Randomized source ports (the policy-injection traffic) take
+        the batched path: members carry their own ports."""
+        h = _cache_busting(TestbedHarness(l2_deployment()))
+        h.configure_tenant_flows(rate_per_flow_pps=20_000)
+        result = h.run(duration=DURATION)
+        assert (result.path, result.oracle_reason) == ("batched", None)
+        assert h.lg.batch is True
         assert result.delivered > 0
 
     def test_tracer_mark_released(self):

@@ -116,7 +116,8 @@ class TestServiceStation:
 
 
 class _Group:
-    """Minimal batch-station group: one member, commits recorded."""
+    """Minimal batch-station group: one member, commits recorded (and
+    held until a flush hands them on)."""
 
     key = 0
     margin = 0.0
@@ -126,10 +127,12 @@ class _Group:
         self.sub_ts = [t]
         self.svc = [service]
         self.commits = []
+        self.held = []
         self.flushed = []
 
     def commit(self, i, t):
         self.commits.append(t)
+        self.held.append(t)
         return True
 
     def drop(self, i):
@@ -139,10 +142,11 @@ class _Group:
         return bool(self.commits)
 
     def oldest_commit(self):
-        return self.commits[0] if self.commits else None
+        return self.held[0] if self.held else None
 
     def flush(self, now):
         self.flushed.append(now)
+        self.held = []
 
 
 class TestBatchFairStation:

@@ -105,6 +105,13 @@ RATIO_GATES = (
               "idle control-plane e2e overhead",
               slow="test_e2e_controlplane_packet_rate", fast=E2E_BENCH,
               at_most=1.1),
+    # Cache-busting flows (the policy-injection shape) on the batched
+    # chain against the per-frame oracle: below 2x, per-member ports
+    # and arrival-ordered microflow lookups are not worth their code.
+    RatioGate("cache_busting_speedup_factor",
+              "policy-injection e2e, batched vs per-frame oracle",
+              slow="test_e2e_cache_busting_oracle_rate",
+              fast="test_e2e_cache_busting_batched_rate", at_least=2.0),
 )
 
 

@@ -3,13 +3,15 @@
 
 Profiles one end-to-end run of a Fig. 5 topology (default: MTS L2 with
 2 vswitch VMs, p2v; 4 tenant flows at 200 kpps each) and prints the
-run's function calls, kernel events, batch-station wakes and heap
+run's function calls, kernel events, batch-station wakes, heap
 operations (``heapq`` calls on every heap: event kernel, stations,
-wire, generator) per sent frame, then the top functions by cumulative
-time -- the lens that found and then verified the batched-fastpath
-wins recorded in EXPERIMENTS.md.  ``--shape noisy-neighbor`` offers the
-noisy-neighbor experiment's load instead: one 2 Mpps flow and three
-10 kpps victims.
+wire, generator) and microflow-cache lookups and misses per sent frame,
+then the top functions by cumulative time -- the lens that found and
+then verified the batched-fastpath wins recorded in EXPERIMENTS.md.
+``--shape noisy-neighbor`` offers the noisy-neighbor experiment's load
+instead: one 2 Mpps flow and three 10 kpps victims;
+``--shape policy-injection`` the policy-injection experiment's: 40 kpps
+of randomized-source-port traffic and three 10 kpps victims.
 
 Usage::
 
@@ -19,12 +21,15 @@ Usage::
     python tool/profile.py --level l2 --traffic v2v
     python tool/profile.py --level l1 --shape noisy-neighbor \
         --duration 0.06                 # the overload shape
+    python tool/profile.py --level l1 --shape policy-injection \
+        --duration 0.06                 # the cache-busting shape
     python tool/profile.py --top 30     # more rows
     python tool/profile.py --duration 0.05
     python tool/profile.py --out prof.pstats   # also dump raw stats
     make profile                        # L2 p2v batched + oracle,
                                         # Baseline p2v, L2(2) v2v and
-                                        # the L1 noisy-neighbor shape
+                                        # the L1 noisy-neighbor and
+                                        # policy-injection shapes
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
              traffic: str = "p2v", shape: str = "fig5") -> dict:
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
-    from repro.experiments import noisy_neighbor
+    from repro.experiments import noisy_neighbor, policy_injection
     from repro.traffic import TestbedHarness
 
     # Shared cores: also the noisy-neighbor experiment's deployments.
@@ -71,12 +76,23 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
                                 noisy_neighbor.ATTACK_RATE_PPS)
         for victim in noisy_neighbor.VICTIMS:
             harness.add_tenant_flow(victim, noisy_neighbor.VICTIM_RATE_PPS)
+    elif shape == "policy-injection":
+        harness.add_tenant_flow(policy_injection.ATTACKER,
+                                policy_injection.ATTACK_RATE_PPS,
+                                randomize_src_port=True)
+        for victim in policy_injection.VICTIMS:
+            harness.add_tenant_flow(victim,
+                                    policy_injection.VICTIM_RATE_PPS)
     else:
         harness.configure_tenant_flows(rate_per_flow_pps=200_000)
     events = deployment.sim.events_fired
     result = harness.run(duration=duration)
+    caches = [bridge.cache.stats for bridge in deployment.bridges
+              if bridge.cache is not None]
     return {"sent": result.sent, "delivered": result.delivered,
             "events": deployment.sim.events_fired - events,
+            "lookups": sum(stats.lookups for stats in caches),
+            "misses": sum(stats.misses for stats in caches),
             "label": f"{spec.label} {traffic} {shape}"}
 
 
@@ -93,10 +109,13 @@ def main() -> int:
                         choices=["p2p", "p2v", "v2v"],
                         help="Fig. 5 traffic scenario (default p2v)")
     parser.add_argument("--shape", default="fig5",
-                        choices=["fig5", "noisy-neighbor"],
+                        choices=["fig5", "noisy-neighbor",
+                                 "policy-injection"],
                         help="offered load: 4 x 200 kpps (fig5, the "
-                             "default) or one 2 Mpps flow and three "
-                             "10 kpps victims (noisy-neighbor)")
+                             "default), one 2 Mpps flow and three "
+                             "10 kpps victims (noisy-neighbor), or "
+                             "40 kpps of randomized source ports and "
+                             "three 10 kpps victims (policy-injection)")
     parser.add_argument("--duration", type=float, default=0.05,
                         help="simulated seconds of traffic (default 0.05)")
     parser.add_argument("--top", type=int, default=20,
@@ -133,7 +152,10 @@ def main() -> int:
           f"kernel events={counts['events']} station wakes={wakes}")
     print(f"heap ops per sent frame={sum(heap.values()) / sent:.2f} "
           f"(heappop {heap['heappop'] / sent:.2f}; "
-          + ", ".join(f"{name}={n}" for name, n in heap.items()) + ")\n")
+          + ", ".join(f"{name}={n}" for name, n in heap.items()) + ")")
+    print(f"microflow lookups per sent frame="
+          f"{counts['lookups'] / sent:.2f} "
+          f"(misses {counts['misses'] / sent:.2f})\n")
 
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
