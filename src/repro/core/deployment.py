@@ -190,12 +190,11 @@ class Deployment:
     def enable_batched_fastpath(self) -> None:
         """Swap every timed bridge onto :class:`BatchFairStation` cores.
 
-        Each bridge gets a *margin resolver*: per forwarding plan, a
-        lower bound on the transit time from bridge egress to the next
-        timestamp-sensitive point in the chain (see
-        :meth:`_plan_flush_margin`).  Fabric-bound plans resolve to
-        ``inf`` -- their sub-batches flush once per burst -- which is
-        what makes the batched path pay at saturation.
+        Each bridge gets a *margin resolver* (:meth:`_resolve_plan`):
+        per forwarding plan, a flush margin or a fused route.
+        Fabric-bound plans resolve to ``inf`` -- their sub-batches flush
+        once per burst -- which is what makes the batched path pay at
+        saturation.
         """
         self._margin_cache = {}
         self._route_cache = {}
@@ -210,8 +209,6 @@ class Deployment:
         self._pair_vf = pair_vf
         timed = [bridge for bridge in self.bridges
                  if bridge.model is not None and bridge.compute_shares]
-        self._bridge_pair_ids = {
-            id(port.pair) for bridge in timed for port in bridge.ports()}
         self._bridge_port_by_pair = {
             id(port.pair): (bridge, port)
             for bridge in timed for port in bridge.ports()}
@@ -302,73 +299,43 @@ class Deployment:
                 frame.vlan, tuple(plan.out_ports))
 
     def _plan_flush_margin(self, bridge: OvsBridge, plan) -> float:
-        """Flush-lateness bound for one forwarding plan (see
-        :class:`~repro.sim.resources.BatchFairStation`).
-
-        Classifies each egress of the plan's (already rewritten)
-        exemplar header and takes the minimum transit floor over every
-        reachable admission point:
-
-        - the wire (a Baseline physical port) or the NIC's fabric
-          uplink: the remaining chain (wire occupancy, taps, sink) is
-          analytic in member timestamps -- no bound (``inf``);
-        - another mediation-bridge VF, or any receiver without a batch
-          handler (whose fallback schedules per-member events at their
-          timestamps): two PCIe DMAs + the VEB hop;
-        - a batched tenant app that may forward back into the chain:
-          four DMAs + two VEB hops (its re-entry into the NIC is the
-          earliest following admission point);
-        - a rate-limited egress VF: 0 -- the policer is stateful in
-          per-frame arrival times, so flush at every finish wake;
-        - an egress it cannot classify (a vhost path, whose plans fuse
-          instead once warm): 0.
+        """Flush margin of one forwarding plan (see
+        :class:`~repro.sim.resources.BatchFairStation`): ``inf`` when
+        every egress of the plan's (already rewritten) exemplar header
+        reaches the wire (a Baseline physical port) or the NIC's fabric
+        uplink, whose remaining chain (wire occupancy, taps, sink) is
+        analytic in member timestamps; else 0, a flush at every commit.
+        A 0 plan onto another batch station fuses instead once warm
+        (:meth:`_resolve_plan`).
 
         Results are memoized per (bridge, header, egress set) and
         revalidated against the VEB/policer/filter epochs.
         """
-        from repro.sriov.nic import VEB_LATENCY
-        from repro.sriov.pcie import DMA_LATENCY
         from repro.sriov.switch import UPLINK, VebSwitch
         self._check_epochs()
-        frame = plan.frame
         key = self._plan_key(bridge, plan)
-        cached = self._margin_cache.get(key)
-        if cached is not None:
-            return cached
-        bridge_hop = 2 * DMA_LATENCY + VEB_LATENCY
-        tenant_hop = 4 * DMA_LATENCY + 2 * VEB_LATENCY
-        margin = float("inf")
-        for port_no in plan.out_ports:
-            port = bridge._ports.get(port_no)
-            if port is None:
-                continue
-            if id(port.pair) in self._wire_pair_ids:
-                continue
-            entry = self._pair_vf.get(id(port.pair))
-            if entry is None:
-                # Egress we cannot classify (e.g. a vhost path): no
-                # slack assumed, flush at every wake.
-                margin = 0.0
-                break
-            nic_port, vf = entry
-            if nic_port._buckets.get(vf.name) is not None:
-                margin = 0.0
-                break
-            dests = nic_port.veb.peek_destinations(
-                vf.name, VebSwitch.domain_of(vf), frame)
-            for dest in dests:
-                if dest == UPLINK:
+        margin = self._margin_cache.get(key)
+        if margin is None:
+            margin = _INF
+            for port_no in plan.out_ports:
+                port = bridge._ports.get(port_no)
+                if port is None or id(port.pair) in self._wire_pair_ids:
                     continue
-                func = nic_port._functions.get(dest)
-                if func is None:
-                    continue
-                if (id(func.port) in self._bridge_pair_ids
-                        or func.port.rx._batch_handler is None
-                        or nic_port._buckets.get(dest) is not None):
-                    margin = min(margin, bridge_hop)
-                else:
-                    margin = min(margin, tenant_hop)
-        self._margin_cache[key] = margin
+                entry = self._pair_vf.get(id(port.pair))
+                if entry is None:
+                    margin = 0.0  # a vhost path, say
+                    break
+                nic_port, vf = entry
+                if nic_port._buckets.get(vf.name) is not None:
+                    margin = 0.0  # the policer is stateful per frame
+                    break
+                dests = nic_port.veb.peek_destinations(
+                    vf.name, VebSwitch.domain_of(vf), plan.frame)
+                if any(dest != UPLINK and dest in nic_port._functions
+                       for dest in dests):
+                    margin = 0.0
+                    break
+            self._margin_cache[key] = margin
         return margin
 
     def _check_epochs(self) -> None:
@@ -384,12 +351,12 @@ class Deployment:
     def _resolve_plan(self, bridge: OvsBridge, plan):
         """Margin resolver with route fusing (the bridge's margin_fn).
 
-        Returns either a flush-lateness bound (float, see
-        :meth:`_plan_flush_margin`) or a
+        Returns the plan's margin (``inf`` or 0, see
+        :meth:`_plan_flush_margin`) or, in place of a 0, a
         :class:`~repro.vswitch.ovs._FusedRoute` when the plan's egress
         leads deterministically to another batch station: the bridge
         then pre-registers members downstream on commit instead of
-        margin-flushing tiny sub-batches through the physical chain.
+        flushing one-member sub-batches through the physical chain.
         """
         margin = self._plan_flush_margin(bridge, plan)
         if margin == _INF:

@@ -168,7 +168,3 @@ def run(mode: str = EvalMode.SHARED, frame_bytes: int = 64,
                       calibration=calibration)
     results = default_engine(calibration).run(specs)
     return tabulate(results, mode, frame_bytes)
-
-
-def run_all(frame_bytes: int = 64, duration: float = 0.3) -> Dict[str, Table]:
-    return {mode: run(mode, frame_bytes, duration) for mode in EvalMode.ALL}

@@ -107,7 +107,3 @@ def run(mode: str = EvalMode.SHARED, frame_bytes: int = 64,
     specs = scenarios(mode, frame_bytes, seed=seed, calibration=calibration)
     results = default_engine(calibration).run(specs)
     return tabulate(results, mode, frame_bytes)
-
-
-def run_all(frame_bytes: int = 64) -> Dict[str, Table]:
-    return {mode: run(mode, frame_bytes) for mode in EvalMode.ALL}

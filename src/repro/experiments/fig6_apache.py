@@ -124,11 +124,3 @@ def run_response_time(mode: str = EvalMode.SHARED, seed: int = 0) -> Table:
     from repro.experiments.runner import default_engine
     return tabulate_response_time(
         default_engine().run(scenarios(mode, seed=seed)), mode)
-
-
-def run_all() -> Dict[str, Table]:
-    tables = {}
-    for mode in EvalMode.ALL:
-        tables[f"{mode}-throughput"] = run_throughput(mode)
-        tables[f"{mode}-response-time"] = run_response_time(mode)
-    return tables

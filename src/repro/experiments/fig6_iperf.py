@@ -106,7 +106,3 @@ def run(mode: str = EvalMode.SHARED, seed: int = 0) -> Table:
     from repro.experiments.runner import default_engine
     results = default_engine().run(scenarios(mode, seed=seed))
     return tabulate(results, mode)
-
-
-def run_all() -> Dict[str, Table]:
-    return {mode: run(mode) for mode in EvalMode.ALL}

@@ -27,11 +27,11 @@ class Watchdog:
         self.session = session
         self.heartbeat = heartbeat
         self.probes = 0
-        self._deadline = 0.0
+        self._until = 0.0
 
     def start(self, horizon: float) -> None:
         """Begin probing; the loop re-arms itself until ``horizon``."""
-        self._deadline = self.sim.now + horizon
+        self._until = self.sim.now + horizon
         self.sim.schedule(self.sim.now + self.heartbeat, self._probe)
 
     def _probe(self) -> None:
@@ -45,5 +45,5 @@ class Watchdog:
                 self.session.on_detected(state,
                                          latency=now - state.down_since)
         next_t = now + self.heartbeat
-        if next_t <= self._deadline:
+        if next_t <= self._until:
             self.sim.schedule(next_t, self._probe)

@@ -33,8 +33,15 @@ Fabric scale rides on two additions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
+
+#: The largest finite float.  A fill level or rate whose exact value
+#: exceeds it (a subnormal per-packet demand on a finite pool) is
+#: clamped to it, which only lowers what a flow uses of every pool; a
+#: flow clamped there freezes as "unconstrained".
+_MAX_RATE = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,9 @@ def solve(paths: Sequence[FlowPath]) -> SolveResult:
         for rname in unsaturated:
             if demand_sum[rname] <= 0:
                 continue
-            increment = remaining[rname] / demand_sum[rname]
+            # A subnormal demand sum can overflow the quotient: the
+            # pool still limits the fill, at the largest finite level.
+            increment = min(remaining[rname] / demand_sum[rname], _MAX_RATE)
             if increment < best_increment:
                 best_increment = increment
                 limiting = rname
@@ -212,16 +221,21 @@ def solve(paths: Sequence[FlowPath]) -> SolveResult:
                 frozen[name] = "unconstrained"
             break
 
-        # Apply the level increment.
-        for path in active.values():
-            rates[path.name] += path.weight * best_increment
+        # Apply the level increment.  A rate past the float range is
+        # clamped, and frozen: no finite pool binds it there.
+        newly_frozen = []
+        for name, path in active.items():
+            rate = rates[name] + path.weight * best_increment
+            if rate >= _MAX_RATE:
+                rate = _MAX_RATE
+                newly_frozen.append((name, "unconstrained"))
+            rates[name] = rate
         for rname in unsaturated:
             remaining[rname] -= demand_sum[rname] * best_increment
             if remaining[rname] < 0 and remaining[rname] > -1e-6:
                 remaining[rname] = 0.0
 
         # Freeze flows at saturated resources / offered caps.
-        newly_frozen = []
         if limiting is not None:
             for name in users_of[limiting]:
                 if name in active:

@@ -161,10 +161,10 @@ class BatchFairStation:
     The station moves in *steps*, one at each service finish and, while
     idle, one at the earliest pending timestamp:
 
-    1. commit the finishing member to its group;
+    1. commit the finishing member to its group, which flushes at once
+       if its margin is finite or the commit completed it;
     2. admit the arrivals that are due, in timestamp order;
-    3. start the next member, round-robin across rings;
-    4. flush finished work downstream while each group's margin holds.
+    3. start the next member, round-robin across rings.
 
     Admitting every arrival with timestamp in (S, F] at the finish F of
     a service started at S gives per-event admission's outcomes: ring
@@ -191,23 +191,19 @@ class BatchFairStation:
     at flush time, a flush at time C must satisfy ``C <= F_i + margin``
     for every flushed member finish F_i, where the group's ``margin`` is
     a lower bound on the delay before the member could reach the *next*
-    timestamped admission point (0 is always safe: commits then flush at
-    their own finish; ``inf`` says the member never reaches one --
-    fabric-bound traffic whose remaining chain is purely analytic).  A
-    group flushes the moment it *completes* (every member committed or
-    dropped -- nothing more can join the sub-batch, so waiting buys
-    nothing), a margin-bound group additionally flushes before its
-    oldest unflushed finish ages past the margin, and everything finite
-    flushes when the station goes idle.  Unbounded incomplete groups
-    ride across idle gaps and rely on completion or the end-of-run
-    :meth:`drain`.
+    timestamped admission point.  Two flush rules meet every margin.  A
+    group with a finite margin flushes at the step that commits each
+    member: the earliest flush there is.  An unbounded group (``inf``:
+    the member never reaches such a point -- fabric-bound traffic whose
+    remaining chain is purely analytic) waits on the dirty list until it
+    *completes* (every member committed or dropped: nothing more can
+    join the sub-batch) or the end-of-run :meth:`drain` runs.
 
     **Busy periods.**  Steps are not events.  One :meth:`_wake` replays,
     in order, every step due by the current time, then arms one wake at
     the latest instant anything outside the station can depend on: the
     next step plus the smallest ``lookahead`` among the members present
-    (registered, not yet committed or dropped), capped by the dirty
-    groups' flush deadlines and by the kernel's
+    (registered, not yet committed or dropped), capped by the kernel's
     :attr:`~repro.sim.kernel.Simulator.horizon`.  A group's lookahead is
     a lower bound on the delay from a member's finish to its first
     effect outside the station: a commit registering it at another
@@ -266,16 +262,12 @@ class BatchFairStation:
         self._in_wake = False
         #: The step a running wake is replaying.
         self._clock = 0.0
-        #: Groups holding served-but-unflushed members, and how many of
-        #: them have a finite margin.
+        #: Unbounded groups holding served-but-unflushed members.
         self._dirty: List[Any] = []
-        self._finite = 0
         #: Members present, counted per lookahead value, and the least
         #: value with a count.
         self._present: "dict[float, int]" = {}
         self._lookahead = _INF
-        #: Earliest flush deadline of the dirty groups at the last wake.
-        self._deadline = _INF
 
     def submit_group(self, group: Any) -> None:
         """Register every member of ``group`` as a future arrival.
@@ -365,13 +357,11 @@ class BatchFairStation:
             self._spare = None
 
     def drain(self) -> None:
-        """Flush held sub-batches that can still flush safely.
+        """Flush the sub-batches that unbounded groups still hold.
 
-        The end-of-run safety valve for unbounded groups that never
-        completed (tail members still pending when traffic stopped).
-        Finite-margin groups are skipped -- flushing those late would
-        break the lateness contract -- but in practice the station has
-        gone idle (and idle-flushed them) long before anyone drains.
+        The end-of-run safety valve for groups that never completed
+        (tail members still pending when traffic stopped); a group with
+        a finite margin never holds a commit past its step.
         """
         self.catch_up()
         now = self.sim.now
@@ -382,12 +372,10 @@ class BatchFairStation:
         # then the egress hold's watermark must still see it (a fused
         # sink cannot flush before its upstream's traversal brings the
         # header).
-        dirty = self._dirty
-        for group in list(dirty):
-            if group.margin == _INF or group.is_done():
-                group.flush(now)
-                if group.oldest_commit() is None:
-                    self._clean(dirty, group)
+        for group in list(self._dirty):
+            group.flush(now)
+            if group.oldest_commit() is None:
+                self._clean(group)
 
     def oldest_unflushed(self) -> Optional[float]:
         """Earliest finish of a member this station may still hand on.
@@ -465,8 +453,6 @@ class BatchFairStation:
         else:
             return None
         at = step + self._lookahead
-        if self._deadline < at:
-            at = self._deadline
         horizon = self.sim.horizon
         if at > horizon:
             # Replay up to the horizon if a step falls before it;
@@ -504,6 +490,7 @@ class BatchFairStation:
         ring_order = self._ring_order
         capacity = self.queue_capacity
         present = self._present
+        dirty = self._dirty
         # Server state lives in locals for the replay; nothing re-entered
         # from a commit or flush reads it (oldest_unflushed reads _clock).
         inflight = self._inflight
@@ -521,9 +508,10 @@ class BatchFairStation:
             if now > upto:
                 break
             self._clock = now
-            dirty = self._dirty
-            # 1. Commit the finishing service; a completed group flushes
-            #    on the spot (its sub-batch can never grow again).
+            # 1. Commit the finishing service.  Its group flushes on the
+            #    spot if its margin is finite or it just completed (its
+            #    sub-batch can never grow again); otherwise it waits on
+            #    the dirty list.
             if inflight is not None:
                 served += 1
                 group, i = inflight
@@ -535,15 +523,14 @@ class BatchFairStation:
                 else:
                     self._forget(lookahead)
                 # commit() returns True when the group just became dirty
-                # (first unflushed member), so the list stays
-                # duplicate-free.
-                if group.commit(i, now):
-                    dirty.append(group)
-                    if group.margin != _INF:
-                        self._finite += 1
-                if group.is_done():
+                # (first unflushed member): it is not on the list yet.
+                fresh = group.commit(i, now)
+                if group.margin != _INF or group.is_done():
                     group.flush(now)
-                    self._clean(dirty, group)
+                    if not fresh:
+                        self._clean(group)
+                elif fresh:
+                    dirty.append(group)
             # 2. Admit arrivals that are due, in (timestamp, seq) order,
             #    a run of the head group's members at a time.  Drop-tail
             #    losses are reported to the group: a drop can be the
@@ -560,7 +547,7 @@ class BatchFairStation:
                     if capacity is None or len(ring) < capacity:
                         ring.append((group, pos))
                     else:
-                        self._drop(group, pos, now, dirty)
+                        self._drop(group, pos, now)
                     continue
                 ts, order, base, last = cursor
                 start = pos
@@ -584,7 +571,7 @@ class BatchFairStation:
                     else:
                         heappop(pending)
                         admitted += 1
-                        self._drop(group, i, now, dirty)
+                        self._drop(group, i, now)
                         break
                     if pos > last:
                         heappop(pending)
@@ -631,35 +618,6 @@ class BatchFairStation:
                     busy_time += duration
                     finish_at = now + duration
                     break
-            # 4. Flush finished work downstream while the margin still
-            #    holds.  Unbounded groups (margin inf) only flush via
-            #    completion (step 1/2) or drain(), so they never
-            #    fragment.
-            if dirty:
-                if inflight is None:
-                    keep = []
-                    for group in dirty:
-                        if group.margin == _INF and not group.is_done():
-                            keep.append(group)
-                        else:
-                            group.flush(now)
-                    self._dirty = keep
-                    self._finite = 0
-                elif self._finite:
-                    keep = []
-                    finite = 0
-                    for group in dirty:
-                        oldest = group.oldest_commit()
-                        if oldest is None:
-                            continue
-                        if oldest + group.margin < finish_at:
-                            group.flush(now)
-                        else:
-                            keep.append(group)
-                            if group.margin != _INF:
-                                finite += 1
-                    self._dirty = keep
-                    self._finite = finite
         self._inflight = inflight
         self._finish_at = finish_at
         self.busy = inflight is not None
@@ -668,20 +626,11 @@ class BatchFairStation:
         # Admitted or dropped; re-entrant registrations added theirs.
         self._lag -= admitted
         self._in_wake = False
-        # 5. Arm the next wake.
-        deadline = _INF
-        if self._finite:
-            for group in self._dirty:
-                oldest = group.oldest_commit()
-                if oldest is not None and oldest + group.margin < deadline:
-                    deadline = oldest + group.margin
-        self._deadline = deadline
         at = self._next_wake()
         if at is not None:
             self._arm(at)
 
-    def _drop(self, group: Any, i: int, now: float,
-              dirty: List[Any]) -> None:
+    def _drop(self, group: Any, i: int, now: float) -> None:
         """Ring-drop member ``i``; flush the group if that completed it."""
         self._drops += 1
         lookahead = group.lookahead
@@ -694,16 +643,14 @@ class BatchFairStation:
         group.drop(i)
         if group.is_done() and group.oldest_commit() is not None:
             group.flush(now)
-            self._clean(dirty, group)
+            self._clean(group)
 
-    def _clean(self, dirty: List[Any], group: Any) -> None:
+    def _clean(self, group: Any) -> None:
         """Take a group that just flushed off the dirty list."""
         try:
-            dirty.remove(group)
+            self._dirty.remove(group)
         except ValueError:
-            return
-        if group.margin != _INF:
-            self._finite -= 1
+            pass
 
 
 class ServiceStation:

@@ -185,7 +185,6 @@ class DatapathModel:
 
     def timing_batch(
         self,
-        first_cycles: float,
         cycles: float,
         effective_hz: float,
         sharers: int,
@@ -199,13 +198,9 @@ class DatapathModel:
         Returns parallel ``(service, wait)`` lists.  Draw-for-draw
         identical to per-member :meth:`timing` calls with
         ``key=(k << 6) | mask`` (``key_shift_or`` packs the
-        ingress-port mask).  The first member may carry extra cycles
-        (megaflow miss walk).
+        ingress-port mask).
         """
-        n = len(keys)
-        svc = [cycles / effective_hz] * n
-        if first_cycles != cycles:
-            svc[0] = first_cycles / effective_hz
+        svc = [cycles / effective_hz] * len(keys)
         wait = self.pass_wait(jitter, sharers, num_queues)
         return svc, [wait((k << 6) | key_shift_or) for k in keys]
 

@@ -109,10 +109,11 @@ class _FusedRoute:
     margin or another fused route (``next``).  The downstream pass's
     microflow lookup needs no warm entry: each member registers it with
     the downstream cache (key ``flow_head`` plus the member's L4
-    ports), which resolves it in arrival order like any other.  A fused
-    pass group uses it to *pre-register* each member at the downstream
-    station the moment the member commits upstream, deferring the
-    physical chain traversal to one accounting sweep per burst.
+    ports), which resolves it in arrival order like any other.  A pass
+    group on the route uses it to *pre-register* each member at the
+    downstream station the moment the member commits upstream,
+    deferring the physical chain traversal to one accounting sweep per
+    burst.
 
     ``legs`` holds the per-hop delays in chain order, ``None`` marking
     an l2fwd's (per-member: base cost plus keyed drain wait).  Commits
@@ -149,9 +150,10 @@ class _FusedSink:
 
     When its route continues (``route.next``), the sink is *chained*:
     each commit here pre-registers the member one station further, in
-    a downstream sink of its own, exactly as a fused pass group does;
-    its lookahead is then the onward route's, and completing seals the
-    downstream sink.  Otherwise its flush is fabric-bound.
+    a downstream sink of its own, exactly as a pass group on a fused
+    route does; its lookahead is then the onward route's, and
+    completing seals the downstream sink.  Otherwise its flush is
+    fabric-bound.
     """
 
     margin = _INF
@@ -248,10 +250,7 @@ class _FusedSink:
             self.lookups.close()
         if self._resolved == self._submitted:
             self.flush(self.bridge.sim.now)
-            try:
-                self.route.station._dirty.remove(self)
-            except ValueError:
-                pass
+            self.route.station._clean(self)
 
     # -- station group protocol ---------------------------------------
 
@@ -303,26 +302,49 @@ class _BatchPassGroup:
     ``commit`` in finish order (so their timestamps arrive sorted).
     Committed members re-accumulate here until ``flush`` emits them
     downstream as one sub-batch through the bridge's ``_execute_batch``.
-    A member's first effect outside the station is that flush, no
-    earlier than its margin requires, so the lookahead is the margin.
     ``lookups`` holds the members' microflow lookups when the bridge
     has a cache (service times are final once they resolve).
+
+    The plan resolves to one of three egress kinds:
+
+    - margin ``inf`` (fabric-bound): one flush, when the burst
+      completes (or at the end-of-run drain);
+    - margin 0: a flush at every commit, so each member reaches the
+      next timestamped point no later than its own finish;
+    - a :class:`_FusedRoute`: each commit *pre-registers* the member at
+      the next station (chain delay plus jittered waits, identical
+      draws to the hop-by-hop path), always contract-clean since the
+      admission lies a full chain delay in the future.  The margin is
+      then unbounded: the burst makes ONE accounting traversal of the
+      chain, at completion, which seals the downstream sink.
+
+    A member's first effect outside the station is its flush, or, on a
+    fused route, its registration: the lookahead is the margin or the
+    route's.
     """
 
     __slots__ = ("bridge", "batch", "key", "sub_ts", "svc", "margin",
-                 "lookahead", "out_ports", "rewrites", "lookups",
-                 "_done_idx", "_done_ts", "_remaining")
+                 "lookahead", "out_ports", "rewrites", "lookups", "route",
+                 "sink", "_done_idx", "_done_ts", "_remaining")
 
     def __init__(self, bridge: "OvsBridge", batch: FrameBatch,
                  plan: "_ForwardPlan", sub_ts: List[float],
-                 svc: List[float], margin: float) -> None:
+                 svc: List[float], egress) -> None:
+        """``egress``: the plan's resolution, a margin (0 or ``inf``)
+        or a fused route."""
         self.bridge = bridge
         self.batch = batch
         self.key = plan.in_port
         self.sub_ts = sub_ts
         self.svc = svc
-        self.margin = margin
-        self.lookahead = margin
+        if type(egress) is _FusedRoute:
+            self.route = egress
+            self.margin = _INF
+            self.lookahead = egress.lookahead
+        else:
+            self.route = None
+            self.margin = self.lookahead = egress
+        self.sink: Optional[_FusedSink] = None
         self.out_ports = plan.out_ports
         self.rewrites = plan.rewrites
         self.lookups: Optional[DeferredLookups] = None
@@ -333,6 +355,16 @@ class _BatchPassGroup:
         self._remaining = len(sub_ts)
 
     def commit(self, i: int, t: float) -> bool:
+        if self.route is not None:
+            batch = self.batch
+            ports = batch.src_ports
+            sink = self.sink
+            if sink is None:
+                sink = self.sink = _FusedSink(
+                    self.route,
+                    batch.frame.src_port if ports is None else None)
+            sink.register(batch.frame_ids[i], batch.created_at[i], t,
+                          None if ports is None else ports[i])
         self._remaining -= 1
         self._done_idx.append(i)
         self._done_ts.append(t)
@@ -340,6 +372,10 @@ class _BatchPassGroup:
 
     def drop(self, i: int) -> None:
         self._remaining -= 1
+        if self._remaining == 0 and not self._done_idx:
+            # Every member left ring-dropped: no flush will come, so a
+            # (partial) sink must still be sealed here.
+            self._seal_onward()
 
     def drop_range(self, members) -> None:
         self._remaining -= len(members)
@@ -355,62 +391,11 @@ class _BatchPassGroup:
             self.bridge._execute_batch(self)
             self._done_idx = []
             self._done_ts = []
+        if self._remaining == 0:
+            self._seal_onward()
 
-
-class _FusedPassGroup(_BatchPassGroup):
-    """A pass group whose members *pre-register* downstream on commit.
-
-    Instead of flushing committed members into a physical chain
-    traversal per margin window, each commit computes the member's
-    downstream admission analytically (chain delay + jittered waits,
-    identical draws to the hop-by-hop path) and registers it at the
-    next station immediately -- always contract-clean, since the
-    admission lies a full chain delay in the future.  The margin is
-    unbounded: the burst makes ONE accounting traversal of the chain,
-    at group completion, carrying counters/metering for every leg.  The
-    lookahead is the route's (that registration is the member's first
-    effect outside the station).
-    """
-
-    __slots__ = ("route", "sink")
-
-    def __init__(self, bridge: "OvsBridge", batch: FrameBatch,
-                 plan: "_ForwardPlan", sub_ts: List[float],
-                 svc: List[float], route: _FusedRoute) -> None:
-        super().__init__(bridge, batch, plan, sub_ts, svc, _INF)
-        self.lookahead = route.lookahead
-        self.route = route
-        self.sink: Optional[_FusedSink] = None
-
-    def commit(self, i: int, t: float) -> bool:
-        sink = self.sink
-        batch = self.batch
-        ports = batch.src_ports
-        if sink is None:
-            sink = self.sink = _FusedSink(
-                self.route, batch.frame.src_port if ports is None else None)
-        sink.register(batch.frame_ids[i], batch.created_at[i], t,
-                      None if ports is None else ports[i])
-        self._remaining -= 1
-        self._done_idx.append(i)
-        self._done_ts.append(t)
-        return len(self._done_idx) == 1
-
-    def drop(self, i: int) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and not self._done_idx:
-            # Every member ring-dropped before a single commit: no
-            # flush will come, so the (empty or partial) sink must
-            # still be sealed here.
-            if self.sink is not None:
-                self.sink.seal()
-
-    def flush(self, now: float) -> None:
-        if self._done_idx:
-            self.bridge._execute_batch(self)
-            self._done_idx = []
-            self._done_ts = []
-        if self._remaining == 0 and self.sink is not None:
+    def _seal_onward(self) -> None:
+        if self.sink is not None:
             self.sink.seal()
 
 
@@ -608,11 +593,12 @@ class OvsBridge:
     def set_batch_stations(self, margin_fn) -> None:
         """Swap the per-core stations for batch-admitting ones.
 
-        ``margin_fn(plan)`` resolves, per forwarding plan, the
-        deployment-computed lower bound on the delay between this
-        bridge's egress and the next timestamped admission point in the
-        chain (the deployment knows where each egress VF's traffic
-        lands: fabric-bound plans get ``inf`` and flush once per burst).
+        ``margin_fn(plan)`` resolves, per forwarding plan, how served
+        members leave this bridge (see :class:`_BatchPassGroup`): the
+        deployment knows where each egress lands, and answers ``inf``
+        for fabric-bound plans (one flush per burst), a fused route for
+        a deterministic chain into another batch station, and 0 (a
+        flush at every commit) for anything else.
         Every port -- existing and future -- also gets a batched rx
         handler so upstream components can hand whole bursts in.  Must
         be called after :meth:`set_compute`.
@@ -1006,18 +992,14 @@ class OvsBridge:
             in_class, out_class, plan.rewrites, num_ports=len(self._ports))
         hz = share.effective_hz()
         svc, waits = model.timing_batch(
-            cycles, cycles, effective_hz=hz,
+            cycles, effective_hz=hz,
             sharers=share.sharers, num_queues=len(self._stations),
             jitter=self._jitter, keys=batch.frame_ids,
             key_shift_or=plan.in_port & 63)
         ts = batch.ts
         sub_ts = [ts[i] + waits[i] for i in range(len(ts))]
-        margin = self._margin_fn(plan)
-        if type(margin) is _FusedRoute:
-            group: _BatchPassGroup = _FusedPassGroup(
-                self, batch, plan, sub_ts, svc, margin)
-        else:
-            group = _BatchPassGroup(self, batch, plan, sub_ts, svc, margin)
+        group = _BatchPassGroup(self, batch, plan, sub_ts, svc,
+                                self._margin_fn(plan))
         cache = self.cache
         if cache is not None:
             key = flow_signature(plan.frame, plan.in_port)
@@ -1051,7 +1033,7 @@ class OvsBridge:
             [batch.created_at[i] for i in idx],
             None if ports is None else [ports[i] for i in idx],
         )
-        sub.fused_sink = getattr(group, "sink", None)
+        sub.fused_sink = group.sink
         out_ports = group.out_ports
         m = len(out_ports)
         # Mirror _execute's id draws: a copy per member for every

@@ -1,6 +1,7 @@
 """Max-min fair capacity solver: exact cases + invariants via hypothesis."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,3 +222,18 @@ class TestWeightedFairness:
             used = sum(p.demand_on(resource) * result.rates_pps[p.name]
                        for p in paths)
             assert used <= resource.capacity * (1 + 1e-6)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("weight", [4.635794560490001, 1.0])
+    def test_subnormal_demand_gets_the_largest_finite_rate(self, weight):
+        # capacity / demand overflows a float: the rate is clamped to
+        # the largest finite one, which keeps the pool within capacity.
+        r = Resource("pool", 1.0)
+        path = flow("f", [(r, 2.225e-309)])
+        path.weight = weight
+        result = solve([path])
+        rate = result.rates_pps["f"]
+        assert rate == sys.float_info.max
+        assert result.bottleneck_of["f"] == "unconstrained"
+        assert 2.225e-309 * rate <= r.capacity

@@ -232,6 +232,47 @@ class _FuzzGroup:
         self._held = []
 
 
+class _FlushLog(_FuzzGroup):
+    """A :class:`_FuzzGroup` that records each flush: its time and the
+    finishes it hands on."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.flushes = []
+
+    def flush(self, now):
+        self.flushes.append((now, list(self._held)))
+        super().flush(now)
+
+
+class TestFlushRules:
+    _US = 1e-6
+
+    def _run(self, margin):
+        us = self._US
+        sim = Simulator()
+        group = _FlushLog(sim, 0, [1.0 * us, 1.1 * us, 1.2 * us],
+                          [us] * 3, margin, min(margin, 10 * us))
+        BatchFairStation(sim).submit_group(group)
+        sim.run()
+        return group.flushes
+
+    def test_finite_margin_flushes_at_each_commit(self):
+        us = self._US
+        flushes = self._run(10 * us)
+        assert [now for now, _ in flushes] == pytest.approx(
+            [2 * us, 3 * us, 4 * us])
+        assert [held for _, held in flushes] == [[now] for now, _ in flushes]
+
+    def test_unbounded_margin_flushes_once_at_completion(self):
+        us = self._US
+        flushes = self._run(_INF)
+        assert len(flushes) == 1
+        now, held = flushes[0]
+        assert now == pytest.approx(4 * us)
+        assert held == pytest.approx([2 * us, 3 * us, 4 * us])
+
+
 _BOUND = st.sampled_from(["zero", "finite", "inf"])
 
 

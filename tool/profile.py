@@ -3,7 +3,8 @@
 
 Profiles one end-to-end run of a Fig. 5 topology (default: MTS L2 with
 2 vswitch VMs, p2v; 4 tenant flows at 200 kpps each) and prints the
-run's function calls, kernel events, batch-station wakes, heap
+run's function calls, kernel events, batch-station wakes, sub-batch
+flushes (``OvsBridge._execute_batch`` calls) per sent frame, heap
 operations (``heapq`` calls on every heap: event kernel, stations,
 wire, generator) and microflow-cache lookups and misses per sent frame,
 then the top functions by cumulative time -- the lens that found and
@@ -140,6 +141,9 @@ def main() -> int:
     stats = pstats.Stats(profiler, stream=sys.stdout)
     wakes = sum(entry[1] for func, entry in stats.stats.items()
                 if func[2] == "_wake" and func[0].endswith("resources.py"))
+    flushes = sum(entry[1] for func, entry in stats.stats.items()
+                  if func[2] == "_execute_batch"
+                  and func[0].endswith("ovs.py"))
     # Built-ins profile as ("~", 0, "<built-in method _heapq.heappop>").
     heap = {name: 0 for name in HEAP_OPS}
     for func, entry in stats.stats.items():
@@ -149,7 +153,8 @@ def main() -> int:
     sent = max(1, counts["sent"])
     print(f"{counts['label']}: sent={counts['sent']} "
           f"delivered={counts['delivered']} calls={stats.total_calls} "
-          f"kernel events={counts['events']} station wakes={wakes}")
+          f"kernel events={counts['events']} station wakes={wakes} "
+          f"sub-batch flushes per sent frame={flushes / sent:.3f}")
     print(f"heap ops per sent frame={sum(heap.values()) / sent:.2f} "
           f"(heappop {heap['heappop'] / sent:.2f}; "
           + ", ".join(f"{name}={n}" for name, n in heap.items()) + ")")
