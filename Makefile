@@ -54,14 +54,16 @@ bench-micro:
 
 # cProfile the Fig. 5 e2e scenario: top-20 cumulative for the batched
 # fast path and the per-frame oracle, then the batched Baseline p2v and
-# L2(2) v2v shapes, then the L1 noisy-neighbor overload and the L1
-# policy-injection (cache-busting) shape (the before/after tables in
-# EXPERIMENTS.md come from exactly these commands).
+# L2(2) v2v shapes, the L2(2) p2v Fig. 5 latency load (4 x 2.5 kpps),
+# then the L1 noisy-neighbor overload and the L1 policy-injection
+# (cache-busting) shape (the before/after tables in EXPERIMENTS.md come
+# from exactly these commands).
 profile:
 	$(PYTHON) tool/profile.py
 	$(PYTHON) tool/profile.py --oracle
 	$(PYTHON) tool/profile.py --level baseline --traffic p2v
 	$(PYTHON) tool/profile.py --level l2 --traffic v2v
+	$(PYTHON) tool/profile.py --level l2 --shape latency --duration 0.15
 	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.06
 	$(PYTHON) tool/profile.py --level l1 --shape policy-injection --duration 0.06
 

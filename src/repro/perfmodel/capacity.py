@@ -37,10 +37,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-#: The largest finite float.  A fill level or rate whose exact value
-#: exceeds it (a subnormal per-packet demand on a finite pool) is
-#: clamped to it, which only lowers what a flow uses of every pool; a
-#: flow clamped there freezes as "unconstrained".
+#: The largest finite float.  Every rate is capped at it, as if by an
+#: offered load: a flow whose exact max-min rate exceeds it (a subnormal
+#: per-packet demand on a finite pool) freezes there as
+#: "unconstrained", which only lowers what it uses of every pool.
 _MAX_RATE = sys.float_info.max
 
 
@@ -193,19 +193,21 @@ def solve(paths: Sequence[FlowPath]) -> SolveResult:
     active = {p.name: p for p in paths}
     remaining = {r.name: r.capacity for r in resources}
     unsaturated = [r.name for r in resources]
+    # Every active flow has risen with the common level from zero, so
+    # the heaviest active flow is the fastest.
+    by_weight = sorted(paths, key=lambda p: -p.weight)
+    heaviest = 0
 
     while active:
         # How far can the common fill *level* rise (each flow's rate is
         # weight x level) before something saturates or a flow hits its
-        # offered load?
+        # offered load?  A subnormal demand sum can overflow a quotient.
         best_increment = math.inf
         limiting: Optional[str] = None
         for rname in unsaturated:
             if demand_sum[rname] <= 0:
                 continue
-            # A subnormal demand sum can overflow the quotient: the
-            # pool still limits the fill, at the largest finite level.
-            increment = min(remaining[rname] / demand_sum[rname], _MAX_RATE)
+            increment = remaining[rname] / demand_sum[rname]
             if increment < best_increment:
                 best_increment = increment
                 limiting = rname
@@ -215,23 +217,37 @@ def solve(paths: Sequence[FlowPath]) -> SolveResult:
                 best_increment = headroom
                 limiting = None  # an offered-load cap, not a resource
 
-        if math.isinf(best_increment):
+        if (math.isinf(best_increment)
+                and not any(users_of[r] for r in unsaturated)
+                and all(math.isinf(p.offered_pps) for p in active.values())):
             # No active flow touches any finite resource or cap.
             for name in active:
                 frozen[name] = "unconstrained"
             break
 
-        # Apply the level increment.  A rate past the float range is
-        # clamped, and frozen: no finite pool binds it there.
+        # The round counts the fill in the rate of a flow of weight
+        # ``scale``: 1 (the level itself) unless the level would carry
+        # the fastest flow past the float range.
+        while by_weight[heaviest].name not in active:
+            heaviest += 1
+        top = by_weight[heaviest]
+        scale = 1.0
+        capped: Dict[str, float] = {}
+        if rates[top.name] + top.weight * best_increment >= _MAX_RATE:
+            scale = top.weight
+            best_increment, limiting, capped = _capped_round(
+                active, rates, unsaturated, demand_sum, remaining, scale)
+
+        # Apply the increment.
         newly_frozen = []
         for name, path in active.items():
-            rate = rates[name] + path.weight * best_increment
-            if rate >= _MAX_RATE:
-                rate = _MAX_RATE
+            rates[name] += path.weight / scale * best_increment
+        for name, cap in capped.items():
+            rates[name] = cap
+            if cap == _MAX_RATE:
                 newly_frozen.append((name, "unconstrained"))
-            rates[name] = rate
         for rname in unsaturated:
-            remaining[rname] -= demand_sum[rname] * best_increment
+            remaining[rname] -= demand_sum[rname] / scale * best_increment
             if remaining[rname] < 0 and remaining[rname] > -1e-6:
                 remaining[rname] = 0.0
 
@@ -290,6 +306,30 @@ def solve(paths: Sequence[FlowPath]) -> SolveResult:
         capacity_of[resource.name] = resource.capacity
     return SolveResult(rates_pps=rates, bottleneck_of=frozen,
                        utilization=utilization, capacity_of=capacity_of)
+
+
+def _capped_round(active, rates, unsaturated, demand_sum, remaining,
+                  scale):
+    """A fill round whose level overflows: how far the rate of a flow
+    of weight ``scale`` (the heaviest active one) can rise, with every
+    rate capped at ``min(offered, _MAX_RATE)``.  That flow's own cap
+    keeps the step finite.  Returns the step, the limiting pool (None
+    for a cap) and the flows that reach their cap, with the cap."""
+    step, limiting = math.inf, None
+    for rname in unsaturated:
+        per_step = demand_sum[rname] / scale
+        if per_step > 0 and remaining[rname] / per_step < step:
+            step, limiting = remaining[rname] / per_step, rname
+    headroom = {}
+    for name, path in active.items():
+        cap = min(path.offered_pps, _MAX_RATE)
+        increment = (cap - rates[name]) * (scale / path.weight)
+        headroom[name] = cap, increment
+        if increment < step:
+            step, limiting = increment, None
+    capped = {name: cap for name, (cap, increment) in headroom.items()
+              if increment <= step}
+    return step, limiting, capped
 
 
 #: Residual pools never drop below this fraction of their configured

@@ -194,9 +194,11 @@ class TestbedHarness:
             self.deployment.enable_batched_fastpath()
             self.lg.batch = True
             # Wider bursts amortize per-batch work; timestamps are
-            # analytic per frame, so results are burst-invariant.  A
+            # analytic per frame, so results are burst-invariant.  The
+            # generator ramps up to this cap from one frame, so each
+            # flow's first frame warms the pipeline alone.  A
             # caller-customized burst (tests pinning batch shapes) is
-            # left alone.
+            # left alone, and caps the ramp.
             if self.lg.burst == DEFAULT_BURST:
                 self.lg.burst = BATCHED_BURST
             # Sub-batches reach the egress wire out of ready-time order;

@@ -225,10 +225,12 @@ class TestWeightedFairness:
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("weight", [4.635794560490001, 1.0])
+    @pytest.mark.parametrize("weight", [4.635794560490001, 1.0, 0.1])
     def test_subnormal_demand_gets_the_largest_finite_rate(self, weight):
         # capacity / demand overflows a float: the rate is clamped to
         # the largest finite one, which keeps the pool within capacity.
+        # At weight 0.1 the fill level overflows too (the exact rate,
+        # 4.49e308, exceeds any float).
         r = Resource("pool", 1.0)
         path = flow("f", [(r, 2.225e-309)])
         path.weight = weight
@@ -237,3 +239,18 @@ class TestOverflow:
         assert rate == sys.float_info.max
         assert result.bottleneck_of["f"] == "unconstrained"
         assert 2.225e-309 * rate <= r.capacity
+
+    def test_light_flow_rises_past_a_clamped_heavy_one(self):
+        # The weight-1 flow reaches the largest finite rate first, using
+        # 0.4 of the pool; the weight-0.1 flow then has the rest, and
+        # its exact rate exceeds any float too.
+        r = Resource("pool", 1.0)
+        light = flow("light", [(r, 2.225e-309)])
+        light.weight = 0.1
+        heavy = flow("heavy", [(r, 2.225e-309)])
+        result = solve([light, heavy])
+        for name in ("light", "heavy"):
+            assert result.rates_pps[name] == sys.float_info.max
+            assert result.bottleneck_of[name] == "unconstrained"
+        used = sum(2.225e-309 * rate for rate in result.rates_pps.values())
+        assert used <= r.capacity

@@ -398,7 +398,9 @@ class TestBatchedChainDifferential:
     drop reasons, metering totals -- across batch shapes, tracing,
     metering, and a mid-run crash/heal fault plan."""
 
-    @pytest.mark.parametrize("burst", [1, 7, 32])
+    # None: the harness default, a ramp from one frame up to
+    # BATCHED_BURST; 4096 is above the batch station's _MAX_LAG.
+    @pytest.mark.parametrize("burst", [1, 7, 32, None, 4096])
     def test_burst_shapes(self, burst):
         oracle = _run_fig5(batch=False, burst=None, tracing=False,
                            metering=False, faulted=False, duration=0.008)

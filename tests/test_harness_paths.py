@@ -16,6 +16,7 @@ from repro.faults.session import ChaosSession
 from repro.scenario import ScenarioSpec
 from repro.traffic import TestbedHarness
 from repro.traffic.capture import Capture
+from repro.vswitch.ovs import OvsBridge
 
 DURATION = 0.004
 
@@ -172,6 +173,34 @@ class TestPathSelection:
         link.send_batch(FrameBatch(exemplar, [7, 8], [0.0, 1e-6]))
         assert [fid for fid, _ in frames] == [7, 8]
         assert twins == [2]
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("scenario,passes", [
+        (TrafficScenario.P2V, 2), (TrafficScenario.V2V, 3)])
+    def test_first_frames_walk_the_pipeline_alone(self, monkeypatch,
+                                                  scenario, passes):
+        """At the Fig. 5 latency load, each flow's first frame warms
+        every bridge pass before wider batches come: the per-frame pass
+        runs at most once per flow per bridge pass (``passes`` per
+        frame), 8 times p2v and 12 times v2v, not once per member of a
+        flow's whole first burst."""
+        calls = []
+        dispatch = OvsBridge._dispatch
+
+        def counted(bridge, plan):
+            calls.append(plan.frame.flow_id)
+            dispatch(bridge, plan)
+
+        monkeypatch.setattr(OvsBridge, "_dispatch", counted)
+        spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2)
+        h = TestbedHarness(build_deployment(spec, scenario))
+        h.configure_tenant_flows(rate_per_flow_pps=2_500)
+        result = h.run(duration=0.15, warmup=0.05)
+        assert result.path == "batched"
+        assert result.delivered == result.sent
+        assert len(calls) <= 4 * passes
+        assert all(calls.count(flow) <= passes for flow in set(calls))
 
 
 class TestWarmupValidation:

@@ -79,6 +79,55 @@ class TestLoadGenerator:
             flow(rate=0)
 
 
+class TestBurstRamp:
+    """Batched emission ramps its bursts from one frame up to
+    ``burst``; per-frame emission keeps fixed bursts."""
+
+    def _bursts(self, batch, runs=1):
+        """Frames per emission event, one list per ``start()``."""
+        sim = Simulator()
+        received = []
+        link = Link(sim, Port("dut", received.append))
+        lg = LoadGenerator(sim, link, burst=8)
+        lg.batch = batch
+        lg.add_flow(flow(rate=1000))
+        send, send_interleaved = link.send, link.send_interleaved
+        bursts = []
+
+        def per_frame(frame, at=None):
+            # Frames of one emission event share its instant.
+            if not bursts[-1] or bursts[-1][-1][0] != sim.now:
+                bursts[-1].append([sim.now, 0])
+            bursts[-1][-1][1] += 1
+            send(frame, at=at)
+
+        def batched(batches):
+            bursts[-1].append([sim.now, sum(len(b) for b in batches)])
+            send_interleaved(batches)
+
+        link.send, link.send_interleaved = per_frame, batched
+        for _ in range(runs):
+            bursts.append([])
+            lg.start(duration=0.05)
+            sim.run()
+        assert sum(n for run in bursts for _, n in run) == lg.sent
+        return [[n for _, n in run] for run in bursts]
+
+    def test_batched_bursts_double_up_to_the_cap(self):
+        [sizes] = self._bursts(batch=True)
+        assert sizes[:-1] == [1, 2, 4] + [8] * (len(sizes) - 4)
+        assert 0 < sizes[-1] <= 8
+
+    def test_start_restarts_the_ramp(self):
+        first, second = self._bursts(batch=True, runs=2)
+        assert first[:4] == second[:4] == [1, 2, 4, 8]
+
+    def test_per_frame_bursts_stay_fixed(self):
+        [sizes] = self._bursts(batch=False)
+        assert sizes[:-1] == [8] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= 8
+
+
 class TestHarness:
     def test_result_fields_consistent(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),

@@ -4,13 +4,16 @@
 Profiles one end-to-end run of a Fig. 5 topology (default: MTS L2 with
 2 vswitch VMs, p2v; 4 tenant flows at 200 kpps each) and prints the
 run's function calls, kernel events, batch-station wakes, sub-batch
-flushes (``OvsBridge._execute_batch`` calls) per sent frame, heap
-operations (``heapq`` calls on every heap: event kernel, stations,
-wire, generator) and microflow-cache lookups and misses per sent frame,
-then the top functions by cumulative time -- the lens that found and
-then verified the batched-fastpath wins recorded in EXPERIMENTS.md.
-``--shape noisy-neighbor`` offers the noisy-neighbor experiment's load
-instead: one 2 Mpps flow and three 10 kpps victims;
+flushes (``OvsBridge._execute_batch`` calls) per sent frame, generator
+emission events (``LoadGenerator._emit`` calls) and per-frame bridge
+passes (``OvsBridge._dispatch`` calls) per sent frame, heap operations
+(``heapq`` calls on every heap: event kernel, stations, wire,
+generator) and microflow-cache lookups and misses per sent frame, then
+the top functions by cumulative time -- the lens that found and then
+verified the batched-fastpath wins recorded in EXPERIMENTS.md.
+``--shape latency`` offers the Fig. 5 latency load instead: four flows
+at 2.5 kpps each; ``--shape noisy-neighbor`` the noisy-neighbor
+experiment's: one 2 Mpps flow and three 10 kpps victims;
 ``--shape policy-injection`` the policy-injection experiment's: 40 kpps
 of randomized-source-port traffic and three 10 kpps victims.
 
@@ -20,6 +23,8 @@ Usage::
     python tool/profile.py --oracle     # per-frame oracle path
     python tool/profile.py --level baseline --traffic p2v
     python tool/profile.py --level l2 --traffic v2v
+    python tool/profile.py --level l2 --shape latency \
+        --duration 0.15                 # the Fig. 5 latency load
     python tool/profile.py --level l1 --shape noisy-neighbor \
         --duration 0.06                 # the overload shape
     python tool/profile.py --level l1 --shape policy-injection \
@@ -28,8 +33,9 @@ Usage::
     python tool/profile.py --duration 0.05
     python tool/profile.py --out prof.pstats   # also dump raw stats
     make profile                        # L2 p2v batched + oracle,
-                                        # Baseline p2v, L2(2) v2v and
-                                        # the L1 noisy-neighbor and
+                                        # Baseline p2v, L2(2) v2v, the
+                                        # L2 latency load and the L1
+                                        # noisy-neighbor and
                                         # policy-injection shapes
 """
 
@@ -61,7 +67,8 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
              traffic: str = "p2v", shape: str = "fig5") -> dict:
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
-    from repro.experiments import noisy_neighbor, policy_injection
+    from repro.experiments import (fig5_latency, noisy_neighbor,
+                                   policy_injection)
     from repro.traffic import TestbedHarness
 
     # Shared cores: also the noisy-neighbor experiment's deployments.
@@ -84,6 +91,11 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
         for victim in policy_injection.VICTIMS:
             harness.add_tenant_flow(victim,
                                     policy_injection.VICTIM_RATE_PPS)
+    elif shape == "latency":
+        # As the experiment splits it: one flow per tenant.
+        harness.configure_tenant_flows(
+            rate_per_flow_pps=fig5_latency.DEFAULT_AGGREGATE_PPS
+            / spec.num_tenants)
     else:
         harness.configure_tenant_flows(rate_per_flow_pps=200_000)
     events = deployment.sim.events_fired
@@ -110,11 +122,12 @@ def main() -> int:
                         choices=["p2p", "p2v", "v2v"],
                         help="Fig. 5 traffic scenario (default p2v)")
     parser.add_argument("--shape", default="fig5",
-                        choices=["fig5", "noisy-neighbor",
+                        choices=["fig5", "latency", "noisy-neighbor",
                                  "policy-injection"],
                         help="offered load: 4 x 200 kpps (fig5, the "
-                             "default), one 2 Mpps flow and three "
-                             "10 kpps victims (noisy-neighbor), or "
+                             "default), 4 x 2.5 kpps (latency, the "
+                             "Fig. 5 latency load), one 2 Mpps flow and "
+                             "three 10 kpps victims (noisy-neighbor), or "
                              "40 kpps of randomized source ports and "
                              "three 10 kpps victims (policy-injection)")
     parser.add_argument("--duration", type=float, default=0.05,
@@ -139,11 +152,15 @@ def main() -> int:
                       shape=args.shape)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
-    wakes = sum(entry[1] for func, entry in stats.stats.items()
-                if func[2] == "_wake" and func[0].endswith("resources.py"))
-    flushes = sum(entry[1] for func, entry in stats.stats.items()
-                  if func[2] == "_execute_batch"
-                  and func[0].endswith("ovs.py"))
+
+    def calls_of(name: str, module: str) -> int:
+        return sum(entry[1] for func, entry in stats.stats.items()
+                   if func[2] == name and func[0].endswith(module))
+
+    wakes = calls_of("_wake", "resources.py")
+    flushes = calls_of("_execute_batch", "ovs.py")
+    emissions = calls_of("_emit", "generator.py")
+    dispatches = calls_of("_dispatch", "ovs.py")
     # Built-ins profile as ("~", 0, "<built-in method _heapq.heappop>").
     heap = {name: 0 for name in HEAP_OPS}
     for func, entry in stats.stats.items():
@@ -155,6 +172,8 @@ def main() -> int:
           f"delivered={counts['delivered']} calls={stats.total_calls} "
           f"kernel events={counts['events']} station wakes={wakes} "
           f"sub-batch flushes per sent frame={flushes / sent:.3f}")
+    print(f"emission events per sent frame={emissions / sent:.4f} "
+          f"per-frame bridge passes per sent frame={dispatches / sent:.4f}")
     print(f"heap ops per sent frame={sum(heap.values()) / sent:.2f} "
           f"(heappop {heap['heappop'] / sent:.2f}; "
           + ", ".join(f"{name}={n}" for name, n in heap.items()) + ")")
