@@ -42,15 +42,19 @@ bench-update:
 	$(PYTHON) tool/bench.py --update
 
 # Just the hot-loop micro-benchmarks (flow-table, VEB, frame copy,
-# megaflow): a fast early-failing regression gate for the lookup and
-# batching primitives, before the full suite runs.
+# megaflow, jitter draws): a fast early-failing regression gate for the
+# lookup and batching primitives, before the full suite runs.  The two
+# jitter benchmarks also feed the same-run jitter_lane_speedup_factor
+# gate (lane draws at least 2x the per-member unit() calls).
 bench-micro:
 	$(PYTHON) tool/bench.py --targets \
 		benchmarks/test_microbench.py::test_flow_table_lookup_rate \
 		benchmarks/test_microbench.py::test_flow_table_emc_hit_rate \
 		benchmarks/test_microbench.py::test_veb_forwarding_rate \
 		benchmarks/test_microbench.py::test_frame_copy_rate \
-		benchmarks/test_microbench.py::test_megaflow_hit_rate
+		benchmarks/test_microbench.py::test_megaflow_hit_rate \
+		benchmarks/test_microbench.py::test_jitter_scalar_draw_rate \
+		benchmarks/test_microbench.py::test_jitter_lane_draw_rate
 
 # cProfile the Fig. 5 e2e scenario: top-20 cumulative for the batched
 # fast path and the per-frame oracle, then the batched Baseline p2v and

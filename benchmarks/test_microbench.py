@@ -429,3 +429,36 @@ def test_capacity_solve_rate(benchmark):
     d = build_deployment(spec, TrafficScenario.P2V)
     result = benchmark(throughput, d, TrafficScenario.P2V)
     assert result.aggregate_pps > 0
+
+
+def _jitter_workload():
+    """1,024 frame-id keys and the kernel datapath's two draw sites (the
+    interrupt wait and the shared-core wait of one bridge pass)."""
+    import random
+    from repro.sim.hashjit import HashJitter
+    rng = random.Random(0)
+    ids = [rng.getrandbits(24) for _ in range(1024)]
+    sites = (HashJitter.SITE_FIXED_WAIT, HashJitter.SITE_SCHED_WAIT)
+    return HashJitter.from_name("vswitch-vm0.br0"), ids, sites
+
+
+@pytest.mark.benchmark(group="micro")
+def test_jitter_scalar_draw_rate(benchmark):
+    """One ``unit()`` call per key and site: the per-member draws of a
+    1,024-member bridge pass (the pass key packs ingress port 3)."""
+    jitter, ids, sites = _jitter_workload()
+    unit = jitter.unit
+
+    def draw():
+        return [unit((k << 6) | 3, s) for k in ids for s in sites]
+
+    assert len(benchmark(draw)) == 2048
+
+
+@pytest.mark.benchmark(group="micro")
+def test_jitter_lane_draw_rate(benchmark):
+    """The same 2,048 draws in one lane pass (``HashJitter.units``)."""
+    jitter, ids, sites = _jitter_workload()
+    unit = jitter.unit
+    draws = benchmark(jitter.units, ids, sites, 6, 3)
+    assert draws == [unit((k << 6) | 3, s) for k in ids for s in sites]

@@ -74,10 +74,6 @@ class TenantMeter:
         #: Frames swallowed by an injected fault (crashed vswitch rx).
         self.fault_drops: Dict[int, int] = {}
 
-    @staticmethod
-    def _key(tenant: Optional[int]) -> int:
-        return UNATTRIBUTED if tenant is None else tenant
-
     def cpu(self, tenant: Optional[int], seconds: float,
             n: int = 1) -> None:
         """Record ``seconds`` of service time across ``n`` passes (the

@@ -7,7 +7,7 @@ billing` CLI assembles these from scenario results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.billing.invoice import TenantInvoice
 from repro.measure.reporting import Series, Table
@@ -65,11 +65,3 @@ def fault_payer_table(payers_by_deployment: Mapping[str, Mapping[str, float]],
             series.add(label, float(payers.get(str(t), 0.0)))
         table.add_series(series)
     return table
-
-
-def quality_summary(invoices: Sequence[TenantInvoice]) -> Dict[str, int]:
-    """Count invoices by attribution quality."""
-    counts: Dict[str, int] = {}
-    for inv in invoices:
-        counts[inv.quality] = counts.get(inv.quality, 0) + 1
-    return counts

@@ -43,12 +43,6 @@ class ChurnScript:
         self._armed += 1
         self.sim.schedule(at, self._fire_migration, tenant_id, target)
 
-    def schedule_removal(self, at: float, tenant_id: int) -> None:
-        """Arm a graceful tenant removal at simulated time ``at``."""
-        self.deployment.hold_oracle("lifecycle")
-        self._armed += 1
-        self.sim.schedule(at, self._fire_removal, tenant_id)
-
     def _release(self) -> None:
         if self._armed > 0:
             self._armed -= 1
@@ -64,14 +58,6 @@ class ChurnScript:
         finally:
             # The orchestrator holds its own gate for the migration
             # window; the armed hold has done its job.
-            self._release()
-
-    def _fire_removal(self, tenant_id: int) -> None:
-        try:
-            self.orchestrator.remove_tenant(tenant_id)
-            self.completed.append({
-                "kind": "remove", "t": self.sim.now, "tenant": tenant_id})
-        finally:
             self._release()
 
     def close(self) -> None:

@@ -543,11 +543,11 @@ class Deployment:
         if isinstance(app, L2Fwd):
             route.l2fwd_base = L2FWD_CYCLES / app.freq_hz
             route.drain_interval = app.drain_interval
-            route.drain_unit = app._jitter.unit
+            route.drain_unit = app._jitter.site_unit(
+                HashJitter.SITE_L2FWD_DRAIN)
         else:
             route.l2fwd_base = route.drain_interval = 0.0
             route.drain_unit = None
-        route.drain_site = HashJitter.SITE_L2FWD_DRAIN
         route.app = app
         route.app_epoch = app.epoch if app is not None else 0
         route.bridge = bridge2

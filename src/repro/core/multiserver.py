@@ -360,9 +360,6 @@ class MultiServerCloud:
 
     # -- use -------------------------------------------------------------------
 
-    def deployment_of(self, global_tenant: int) -> Deployment:
-        return self.deployments[self.tenants[global_tenant].server_index]
-
     def send_between_tenants(self, src_global: int, dst_global: int,
                              size_bytes: int = 64):
         """Inject one frame from one tenant's VF towards another tenant

@@ -30,18 +30,6 @@ SCENARIOS = (TrafficScenario.P2P, TrafficScenario.P2V, TrafficScenario.V2V)
 WORKLOAD = "fig5.throughput"
 
 
-def aggregate_mpps(config, scenario: TrafficScenario,
-                   frame_bytes: int = 64,
-                   calibration: Calibration = DEFAULT_CALIBRATION) -> float:
-    """Saturation throughput of one configuration point, in Mpps."""
-    spec = config.spec()
-    deployment = build_deployment(spec, scenario, calibration=calibration)
-    offered_per_flow = LINE_RATE_10G_64B_PPS / spec.num_tenants
-    result = throughput(deployment, scenario, frame_bytes=frame_bytes,
-                        offered_per_flow_pps=offered_per_flow)
-    return result.aggregate_pps / MPPS
-
-
 def measure_scenario(spec: ScenarioSpec,
                      calibration: Calibration = DEFAULT_CALIBRATION
                      ) -> Dict[str, float]:

@@ -12,12 +12,11 @@ one cached point per configuration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.deployment import build_deployment
 from repro.core.spec import TrafficScenario
 from repro.experiments.common import (
-    ConfigPoint,
     EvalMode,
     configs_for_mode,
     repeat_with_noise,
@@ -33,14 +32,6 @@ SCENARIOS = (TrafficScenario.P2V, TrafficScenario.V2V)
 WORKLOAD = "fig6.apache"
 
 REPETITIONS = 5
-
-
-def apache_metrics(config: ConfigPoint,
-                   scenario: TrafficScenario) -> Tuple[float, float]:
-    """(aggregate requests/s, mean response time seconds)."""
-    deployment = build_deployment(config.spec(nic_ports=1), scenario)
-    report = ApacheModel(deployment, scenario).run()
-    return report.aggregate_rps, report.mean_response_time
 
 
 def measure_scenario(spec: ScenarioSpec,

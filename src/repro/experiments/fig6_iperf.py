@@ -10,12 +10,11 @@ runs, processes and execution order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.deployment import build_deployment
 from repro.core.spec import TrafficScenario
 from repro.experiments.common import (
-    ConfigPoint,
     EvalMode,
     configs_for_mode,
     repeat_with_noise,
@@ -31,21 +30,6 @@ WORKLOAD = "fig6.iperf"
 
 #: The paper's repetition count.
 REPETITIONS = 5
-
-
-def iperf_gbps(config: ConfigPoint, scenario: TrafficScenario) -> float:
-    deployment = build_deployment(config.spec(nic_ports=1), scenario)
-    return IperfModel(deployment, scenario).run().aggregate_gbps
-
-
-def iperf_with_ci(config: ConfigPoint, scenario: TrafficScenario,
-                  repetitions: int = REPETITIONS,
-                  seed: int = 0) -> Tuple[float, float]:
-    return repeat_with_noise(
-        lambda: iperf_gbps(config, scenario),
-        repetitions=repetitions,
-        seed=seed,
-        stream=f"iperf:{config.label}:{scenario.value}")
 
 
 def measure_scenario(spec: ScenarioSpec,

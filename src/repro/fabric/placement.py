@@ -104,10 +104,6 @@ class Placement:
     def compartment_of(self, tenant: int) -> int:
         return self.assignment[tenant][1]
 
-    def tenants_on(self, server: int) -> List[int]:
-        return sorted(t for t, (s, _k) in self.assignment.items()
-                      if s == server)
-
     def servers_used(self) -> List[int]:
         return sorted({s for s, _k in self.assignment.values()})
 

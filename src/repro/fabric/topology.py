@@ -59,13 +59,6 @@ class FabricTopology:
             raise ValueError(f"no server {server}")
         return server // self.servers_per_rack
 
-    def servers_in_rack(self, rack: int) -> List[int]:
-        if not 0 <= rack < self.num_racks:
-            raise ValueError(f"no rack {rack}")
-        lo = rack * self.servers_per_rack
-        return list(range(lo, min(lo + self.servers_per_rack,
-                                  self.num_servers)))
-
     # -- distances (the placement objective) ------------------------------
 
     def hops(self, src_server: int, dst_server: int) -> int:

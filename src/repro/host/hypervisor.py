@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.host.server import Server
@@ -105,6 +105,3 @@ class Hypervisor:
         if vm.memory is not None:
             self.server.memory.release(vm.name)
             vm.memory = None
-
-    def running_vms(self) -> List[Vm]:
-        return [vm for vm in self.server.vms.values() if vm.is_running]

@@ -71,8 +71,5 @@ class HostMemory:
     def release(self, owner: str) -> None:
         self._allocations.pop(owner, None)
 
-    def allocation_of(self, owner: str) -> MemoryAllocation:
-        return self._allocations[owner]
-
     def owners(self) -> Dict[str, MemoryAllocation]:
         return dict(self._allocations)

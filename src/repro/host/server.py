@@ -54,18 +54,6 @@ class Server:
     def vm(self, name: str) -> Vm:
         return self.vms[name]
 
-    # -- resource reporting (Fig. 5c/f/i) --------------------------------
-
-    def cpu_cores_in_use(self) -> int:
-        """Physical cores with at least one consumer (host core included)."""
-        return self.cores.used_cores()
-
-    def hugepages_in_use(self) -> int:
-        return self.memory.allocated_hugepages()
-
-    def ram_in_use_bytes(self) -> int:
-        return self.memory.allocated_bytes()
-
     def describe(self) -> str:
         lines = [
             f"server {self.name}: {self.cores.num_cores} cores @ "

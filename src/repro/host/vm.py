@@ -54,10 +54,6 @@ class Vm:
             "vm_vfs_attached_total", "VFs handed to VMs, by VM role",
             labels=("role",)).labels(role=self.role.value).inc()
 
-    def vf_by_kind(self, kind) -> List[VirtualFunction]:
-        """All attached VFs of a given :class:`FunctionKind`."""
-        return [vf for vf in self.vfs if vf.kind == kind]
-
     def install_app(self, name: str, app: Any) -> None:
         """Register the application running inside the VM (vswitch,
         l2fwd, workload server...)."""

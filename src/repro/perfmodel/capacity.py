@@ -116,9 +116,6 @@ class SolveResult:
     def aggregate_pps(self) -> float:
         return sum(self.rates_pps.values())
 
-    def rate_of(self, flow_name: str) -> float:
-        return self.rates_pps[flow_name]
-
     # -- residual-capacity queries (the hybrid DES/fluid split) ----------
 
     def used_of(self, resource_name: str) -> float:
@@ -257,7 +254,11 @@ def solve(paths: Sequence[FlowPath]) -> SolveResult:
                 if name in active:
                     newly_frozen.append((name, limiting))
         for name, path in active.items():
-            if rates[name] >= path.offered_pps - 1e-9:
+            # Relative: a flow can land an ulp short of a large offered
+            # load (an uncapped flow's is inf, which nothing reaches).
+            offered = path.offered_pps
+            if (offered < math.inf
+                    and rates[name] >= offered - max(1e-9, 1e-12 * offered)):
                 newly_frozen.append((name, "offered-load"))
         # Saturation of *any* zero-remaining resource also freezes users.
         still_open = []

@@ -34,6 +34,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from repro.core.spec import DeploymentSpec, TrafficScenario
 from repro.errors import ValidationError
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.scenario.registry import WORKLOADS
 
 
 def _jsonable(obj: Any) -> Any:
@@ -134,6 +135,10 @@ class ScenarioSpec:
             from repro.faults.plan import FaultPlan
             object.__setattr__(self, "faults",
                                FaultPlan.from_dict(self.faults))
+        if self.workload not in WORKLOADS:
+            raise ValidationError(
+                f"unknown workload {self.workload!r}; registered: "
+                f"{', '.join(sorted(WORKLOADS))}")
         self.deployment.validate_scenario(self.traffic)
         if self.duration < 0:
             raise ValueError(f"negative duration: {self.duration}")

@@ -72,10 +72,6 @@ class VirtualFunction:
         self.port = PortPair(self.name)
 
     @property
-    def is_pf(self) -> bool:
-        return self.kind == FunctionKind.PF
-
-    @property
     def name(self) -> str:
         if self.kind == FunctionKind.PF:
             return self._pf_name

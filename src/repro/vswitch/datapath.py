@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.hashjit import HashJitter
 from repro.units import USEC
@@ -124,49 +124,79 @@ class DatapathModel:
         #: effects (the DPDK multi-queue drain anomaly) without modelling
         #: every empty poll iteration.
         self.offered_rate_hint_pps: Optional[float] = None
+        self._pass_waits: Dict[tuple, Callable[[int], float]] = {}
 
     def pass_cycles(self, in_class: PortClass, out_class: PortClass,
                     rewrites: bool, num_ports: int) -> float:
         return self.costs.pass_cycles(in_class, out_class, rewrites, num_ports)
 
-    def pass_wait(self, jitter: HashJitter, sharers: int,
-                  num_queues: int) -> Callable[[int], float]:
+    def wait_form(self, sharers: int, num_queues: int
+                  ) -> Tuple[Tuple[int, ...], Callable[..., float]]:
         """The wait of a pass on a core share with ``sharers`` tenants
         and the datapath spread over ``num_queues`` queues, as a
-        function of the pass's jitter key.
+        function of its draws: ``(sites, wait)``, where ``wait`` takes
+        one uniform draw per site, in ``sites`` order.
 
         The kernel path waits for interrupt + softirq wakeup (mean
         1.125x the nominal figure); the DPDK path for the poll/drain
         interval, plus the multi-queue drain anomaly where it applies.
         While K compartments time-share a core, a pass may also find
-        the core scheduled elsewhere for up to (K-1) timeslices.  Every
-        draw is keyed (``jitter.unit(key, site)``): a pure per-frame
-        function, identical no matter how passes are interleaved, which
-        is what lets the batched paths reproduce the per-frame oracle
-        bit for bit.  Per-frame, batched and fused passes all take
-        their waits from here, so the draws and the order of the sum
-        are the same everywhere.
+        the core scheduled elsewhere for up to (K-1) timeslices.  This
+        is the only place the wait is summed: the per-member
+        (:meth:`pass_wait`) and lane (:meth:`timing_batch`) paths both
+        call ``wait``, so they add the same terms in the same order.
         """
-        unit = jitter.unit
         costs = self.costs
-        kernel = self.mode == DatapathMode.KERNEL
-        fixed = costs.fixed_latency
-        drain = costs.drain_jitter
-        anomaly = 0.0 if kernel else self._anomaly_scale(num_queues)
         span = (sharers - 1) * costs.sched_slice if sharers > 1 else 0.0
-
-        def wait(key: int) -> float:
-            if kernel:
-                total = fixed * (1.0 + 0.25 * unit(key, _SITE_FIXED))
-            else:
-                total = drain * unit(key, _SITE_DRAIN)
-                if anomaly:
-                    total += anomaly * (0.6 + 0.8 * unit(key, _SITE_ANOMALY))
+        if self.mode == DatapathMode.KERNEL:
+            fixed = costs.fixed_latency
             if span:
-                total += span * unit(key, _SITE_SCHED)
-            return total
+                return ((_SITE_FIXED, _SITE_SCHED),
+                        lambda f, s: fixed * (1.0 + 0.25 * f) + span * s)
+            return (_SITE_FIXED,), lambda f: fixed * (1.0 + 0.25 * f)
+        drain = costs.drain_jitter
+        anomaly = self._anomaly_scale(num_queues)
+        if anomaly and span:
+            return ((_SITE_DRAIN, _SITE_ANOMALY, _SITE_SCHED),
+                    lambda d, a, s: (drain * d + anomaly * (0.6 + 0.8 * a)
+                                     + span * s))
+        if anomaly:
+            return ((_SITE_DRAIN, _SITE_ANOMALY),
+                    lambda d, a: drain * d + anomaly * (0.6 + 0.8 * a))
+        if span:
+            return (_SITE_DRAIN, _SITE_SCHED), lambda d, s: drain * d + span * s
+        return (_SITE_DRAIN,), lambda d: drain * d
 
-        return wait
+    def pass_wait(self, jitter: HashJitter, sharers: int, num_queues: int,
+                  shift: int = 0, tag: int = 0) -> Callable[[int], float]:
+        """The wait of one pass (see :meth:`wait_form`) as a function
+        of ``k``, for the jitter key ``(k << shift) | tag``.
+
+        Every draw is keyed (``jitter.unit(key, site)``): a pure
+        per-frame function, identical no matter how passes are
+        interleaved, which is what lets the batched paths reproduce the
+        per-frame oracle bit for bit.  Made once per distinct argument
+        set (and rate hint), as the per-frame oracle asks for it at
+        every pass.
+        """
+        memo = (jitter, sharers, num_queues, shift, tag,
+                self.offered_rate_hint_pps)
+        wait_of_key = self._pass_waits.get(memo)
+        if wait_of_key is not None:
+            return wait_of_key
+        sites, wait = self.wait_form(sharers, num_queues)
+        draws = [jitter.site_unit(site, shift, tag) for site in sites]
+        if len(draws) == 1:
+            (d0,) = draws
+            wait_of_key = lambda k: wait(d0(k))
+        elif len(draws) == 2:
+            d0, d1 = draws
+            wait_of_key = lambda k: wait(d0(k), d1(k))
+        else:
+            d0, d1, d2 = draws
+            wait_of_key = lambda k: wait(d0(k), d1(k), d2(k))
+        self._pass_waits[memo] = wait_of_key
+        return wait_of_key
 
     def timing(
         self,
@@ -177,7 +207,7 @@ class DatapathModel:
         jitter: HashJitter,
         key: int,
     ) -> DatapathTiming:
-        """Latency of one pass (see :meth:`pass_wait`) keyed by ``key``
+        """Latency of one pass (see :meth:`wait_form`) keyed by ``key``
         (the frame id, with the ingress port mixed in)."""
         return DatapathTiming(
             service=cycles / effective_hz,
@@ -197,12 +227,15 @@ class DatapathModel:
 
         Returns parallel ``(service, wait)`` lists.  Draw-for-draw
         identical to per-member :meth:`timing` calls with
-        ``key=(k << 6) | mask`` (``key_shift_or`` packs the
-        ingress-port mask).
+        ``key=(k << 6) | key_shift_or`` (``key_shift_or`` packs the
+        ingress-port mask): the burst's draws come from one
+        :meth:`HashJitter.units` call, in lanes.
         """
         svc = [cycles / effective_hz] * len(keys)
-        wait = self.pass_wait(jitter, sharers, num_queues)
-        return svc, [wait((k << 6) | key_shift_or) for k in keys]
+        sites, wait = self.wait_form(sharers, num_queues)
+        # One pass over the key-major draws, len(sites) at a time.
+        draws = iter(jitter.units(keys, sites, 6, key_shift_or))
+        return svc, list(map(wait, *[draws] * len(sites)))
 
     def _anomaly_scale(self, num_queues: int) -> float:
         """Mean wait of the ~1 ms Baseline multi-queue effect at low

@@ -58,6 +58,8 @@ class L2Fwd:
         #: Drain wait is keyed per frame so the batched path reproduces
         #: the per-frame oracle draw for draw.
         self._jitter = HashJitter.from_name(name)
+        self._drain_unit = self._jitter.site_unit(
+            HashJitter.SITE_L2FWD_DRAIN)
         self.drain_interval = drain_interval
         self._ports: Dict[int, PortPair] = {}
         self._routes: Dict[int, _Route] = {}
@@ -90,8 +92,7 @@ class L2Fwd:
             self.unrouted += 1
             return
         delay = L2FWD_CYCLES / self.freq_hz
-        delay += self.drain_interval * self._jitter.unit(
-            frame.frame_id, HashJitter.SITE_L2FWD_DRAIN)
+        delay += self.drain_interval * self._drain_unit(frame.frame_id)
         _obs.TRACER.hop(self.name, frame, "tenant.forward", "forwarded",
                         delay)
         if self.sim is not None:
@@ -108,8 +109,8 @@ class L2Fwd:
 
     def _ingress_batch(self, in_index: int, batch: FrameBatch) -> None:
         """Batched forward: per-member drain draws (identical to the
-        per-frame path -- keyed by frame id), one MAC rewrite on the
-        exemplar, one downstream hand-off."""
+        per-frame path -- keyed by frame id, drawn in lanes), one MAC
+        rewrite on the exemplar, one downstream hand-off."""
         route = self._routes.get(in_index)
         n = len(batch)
         if route is None:
@@ -117,10 +118,9 @@ class L2Fwd:
             return
         base = L2FWD_CYCLES / self.freq_hz
         drain = self.drain_interval
-        unit = self._jitter.unit
-        site = HashJitter.SITE_L2FWD_DRAIN
-        batch.advance_per_member(
-            [base + drain * unit(fid, site) for fid in batch.frame_ids])
+        units = self._jitter.units(batch.frame_ids,
+                                   (HashJitter.SITE_L2FWD_DRAIN,))
+        batch.advance_per_member([base + drain * u for u in units])
         frame = batch.frame
         frame.dst_mac = route.new_dst_mac
         if route.new_src_mac is not None:

@@ -124,7 +124,7 @@ class _FusedRoute:
     """
 
     __slots__ = ("legs", "l2fwd_base", "drain_interval", "drain_unit",
-                 "drain_site", "app", "app_epoch", "bridge",
+                 "app", "app_epoch", "bridge",
                  "in_port_no", "template", "template_key", "flow_head",
                  "dst_port", "out_ports", "model", "share", "num_queues",
                  "num_ports", "jitter", "key_or", "station", "cycles",
@@ -180,7 +180,7 @@ class _FusedSink:
         hz = share.effective_hz()
         self._service = route.cycles / hz
         self._wait = route.model.pass_wait(route.jitter, share.sharers,
-                                           route.num_queues)
+                                           route.num_queues, 6, route.key_or)
         self._ids: List[int] = []
         self._created: List[float] = []
         self._ports: Optional[List[int]] = [] if src_port is None else None
@@ -210,7 +210,7 @@ class _FusedSink:
         for leg in route.legs:
             if leg is None:
                 leg = route.l2fwd_base + route.drain_interval * \
-                    route.drain_unit(frame_id, route.drain_site)
+                    route.drain_unit(frame_id)
             arrival += leg
         j = self._submitted
         self._submitted = j + 1
@@ -230,7 +230,7 @@ class _FusedSink:
             self.svc.append(self._service)
         # The pass wait is one sum, as in OvsBridge._dispatch.
         route.station.submit_member(
-            self, j, arrival + self._wait((frame_id << 6) | route.key_or))
+            self, j, arrival + self._wait(frame_id))
 
     def attach_part(self, part: FrameBatch) -> None:
         """Bind the accounting traversal's exemplar header.

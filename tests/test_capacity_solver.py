@@ -224,6 +224,25 @@ class TestWeightedFairness:
             assert used <= resource.capacity * (1 + 1e-6)
 
 
+class TestOfferedLoadTolerance:
+    def test_large_offered_load_reached_an_ulp_short(self):
+        # The weighted flow reaches its 7.889e9 pps offered load an ulp
+        # short.  It must still freeze there as offered-load, leaving
+        # the rest of the pool to the uncapped flow, instead of freezing
+        # every active flow far below its fair share.
+        r = Resource("pool", 1e13)
+        capped = flow("capped", [(r, 1.4)], offered=7.889e9)
+        capped.weight = 6.6
+        uncapped = flow("uncapped", [(r, 1.0)])
+        result = solve([capped, uncapped])
+        assert result.bottleneck_of == {"capped": "offered-load",
+                                        "uncapped": "pool"}
+        assert result.rates_pps["capped"] == pytest.approx(7.889e9)
+        assert result.rates_pps["uncapped"] == pytest.approx(
+            1e13 - 1.4 * 7.889e9)  # 9.989e12 pps
+        assert result.utilization["pool"] == pytest.approx(1.0)
+
+
 class TestOverflow:
     @pytest.mark.parametrize("weight", [4.635794560490001, 1.0, 0.1])
     def test_subnormal_demand_gets_the_largest_finite_rate(self, weight):

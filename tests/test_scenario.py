@@ -128,6 +128,45 @@ class TestContentHash:
             "4fbf53e9adb54142249eb801f02ff17470f4e7e4a053abdd0eb228e726872e48")
 
 
+class TestWorkloadNameChecked:
+    """A spec names a registered workload, or it is not built."""
+
+    def test_typo_fails_at_construction(self):
+        with pytest.raises(ValidationError) as err:
+            latency_spec(workload="fig5.latncy")
+        assert "'fig5.latncy'" in str(err.value)
+        assert "fig5.latency" in str(err.value)  # the registered names
+
+    def test_valid_specs_keep_their_hashes(self):
+        """The check adds nothing to the hashed content: cached results
+        of valid specs stay valid."""
+        latency = ScenarioSpec(
+            workload="fig5.latency",
+            deployment=DeploymentSpec(level=SecurityLevel.LEVEL_1),
+            traffic=TrafficScenario.P2V, duration=0.05, warmup=0.01,
+            seed=3, params={"frame_bytes": 64, "aggregate_pps": 10_000.0})
+        fabric = ScenarioSpec(
+            workload="fabric.hybrid",
+            deployment=DeploymentSpec(level=SecurityLevel.LEVEL_2,
+                                      num_vswitch_vms=2, nic_ports=1),
+            duration=0.05, seed=11,
+            params={"servers": 8, "study_mode": "probes",
+                    "study_flows": 2, "study_pps": 20_000.0})
+        churn = ScenarioSpec(
+            workload="controlplane.churn",
+            deployment=DeploymentSpec(level=SecurityLevel.LEVEL_2,
+                                      num_vswitch_vms=4,
+                                      resource_mode=ResourceMode.SHARED),
+            duration=30.0, seed=5,
+            params={"arrival_rate": 2.0, "crashes": 3})
+        assert latency.content_hash() == (
+            "63df9d566a090f86eb2059b5d59ed90b94ae70f9bc267db11801d30fb844bf59")
+        assert fabric.content_hash() == (
+            "f0f0c90698774952a31de898643e9e483c11b8492d4ddd46a41f8a79192b08c5")
+        assert churn.content_hash() == (
+            "1e0b429944c7779932b5b6e22a1ce52ec0dcff2d698a6379554711212b2d8065")
+
+
 class TestRegistry:
     def test_known_workloads_resolve(self):
         assert callable(resolve("fig5.latency"))

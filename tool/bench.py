@@ -112,6 +112,13 @@ RATIO_GATES = (
               "policy-injection e2e, batched vs per-frame oracle",
               slow="test_e2e_cache_busting_oracle_rate",
               fast="test_e2e_cache_busting_batched_rate", at_least=2.0),
+    # A 1,024-member pass's two jitter draws per member, in one lane
+    # pass against one unit() call each: below 2x the lanes are not
+    # worth their packing code.
+    RatioGate("jitter_lane_speedup_factor",
+              "lane jitter draws vs per-member unit() calls",
+              slow="test_jitter_scalar_draw_rate",
+              fast="test_jitter_lane_draw_rate", at_least=2.0),
 )
 
 

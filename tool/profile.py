@@ -8,8 +8,11 @@ flushes (``OvsBridge._execute_batch`` calls) per sent frame, generator
 emission events (``LoadGenerator._emit`` calls) and per-frame bridge
 passes (``OvsBridge._dispatch`` calls) per sent frame, heap operations
 (``heapq`` calls on every heap: event kernel, stations, wire,
-generator) and microflow-cache lookups and misses per sent frame, then
-the top functions by cumulative time -- the lens that found and then
+generator), microflow-cache lookups and misses per sent frame, and
+jitter draws per sent frame, split into a batch's draws in lanes, a
+small batch's draws made key by key (both ``HashJitter.units``) and
+per-member scalar ``unit()`` draws, then the top functions by
+cumulative time -- the lens that found and then
 verified the batched-fastpath wins recorded in EXPERIMENTS.md.
 ``--shape latency`` offers the Fig. 5 latency load instead: four flows
 at 2.5 kpps each; ``--shape noisy-neighbor`` the noisy-neighbor
@@ -61,6 +64,28 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 #: The ``heapq`` functions counted as heap operations.
 HEAP_OPS = ("heappush", "heappop", "heapreplace", "heappushpop", "heapify")
+
+
+def count_batch_draws() -> dict:
+    """Wrap ``HashJitter.units`` (a batch's draws) and its lane kernel
+    ``HashJitter._lanes`` to count the draws each makes (one per key
+    and site); returns the live counts."""
+    from repro.sim.hashjit import HashJitter
+
+    drawn = {"batch": 0, "lanes": 0}
+    units, lanes = HashJitter.units, HashJitter._lanes
+
+    def counted_units(self, keys, sites, *args):
+        drawn["batch"] += len(keys) * len(sites)
+        return units(self, keys, sites, *args)
+
+    def counted_lanes(keys, starts, shift):
+        drawn["lanes"] += len(keys) * (len(starts) // 2)
+        return lanes(keys, starts, shift)
+
+    HashJitter.units = counted_units
+    HashJitter._lanes = staticmethod(counted_lanes)
+    return drawn
 
 
 def run_fig5(duration: float, batch: bool, level: str = "l2",
@@ -145,6 +170,7 @@ def main() -> int:
     label = "oracle (per-frame)" if args.oracle else "batched fast path"
     print(f"Profiling {args.shape} {args.level} {args.traffic} e2e, "
           f"{label}, duration={args.duration}s ...")
+    drawn = count_batch_draws()
     profiler = cProfile.Profile()
     profiler.enable()
     counts = run_fig5(args.duration, batch=not args.oracle,
@@ -161,6 +187,9 @@ def main() -> int:
     flushes = calls_of("_execute_batch", "ovs.py")
     emissions = calls_of("_emit", "generator.py")
     dispatches = calls_of("_dispatch", "ovs.py")
+    # HashJitter.unit and its per-site form (HashJitter.site_unit) are
+    # both named ``unit``; a small batch draws through the latter too.
+    unit_calls = calls_of("unit", "hashjit.py")
     # Built-ins profile as ("~", 0, "<built-in method _heapq.heappop>").
     heap = {name: 0 for name in HEAP_OPS}
     for func, entry in stats.stats.items():
@@ -179,7 +208,15 @@ def main() -> int:
           + ", ".join(f"{name}={n}" for name, n in heap.items()) + ")")
     print(f"microflow lookups per sent frame="
           f"{counts['lookups'] / sent:.2f} "
-          f"(misses {counts['misses'] / sent:.2f})\n")
+          f"(misses {counts['misses'] / sent:.2f})")
+    lanes = drawn["lanes"]
+    small = drawn["batch"] - lanes
+    scalar_draws = unit_calls - small
+    print(f"jitter draws per sent frame="
+          f"{(drawn['batch'] + scalar_draws) / sent:.3f} "
+          f"(lanes {lanes / sent:.3f} = {lanes}, small batches "
+          f"{small / sent:.3f} = {small}, scalar unit() "
+          f"{scalar_draws / sent:.3f} = {scalar_draws})\n")
 
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
