@@ -59,9 +59,10 @@ bench-micro:
 # cProfile the Fig. 5 e2e scenario: top-20 cumulative for the batched
 # fast path and the per-frame oracle, then the batched Baseline p2v and
 # L2(2) v2v shapes, the L2(2) p2v Fig. 5 latency load (4 x 2.5 kpps),
-# then the L1 noisy-neighbor overload and the L1 policy-injection
-# (cache-busting) shape (the before/after tables in EXPERIMENTS.md come
-# from exactly these commands).
+# then the L1 noisy-neighbor overload, the L1 policy-injection
+# (cache-busting) shape and the L2(2) fault-isolation shape (4 x 5 kpps,
+# compartment 0 down for the middle third; the before/after tables in
+# EXPERIMENTS.md come from exactly these commands).
 profile:
 	$(PYTHON) tool/profile.py
 	$(PYTHON) tool/profile.py --oracle
@@ -70,6 +71,7 @@ profile:
 	$(PYTHON) tool/profile.py --level l2 --shape latency --duration 0.15
 	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.06
 	$(PYTHON) tool/profile.py --level l1 --shape policy-injection --duration 0.06
+	$(PYTHON) tool/profile.py --level l2 --shape fault-isolation --duration 0.12
 
 # Just the sweep/backends benchmarks: records the warm-pool speedup
 # factor into BENCH_fastpath.json and gates on it (>= 1.5x required
@@ -98,6 +100,9 @@ sweep-smoke:
 # End-to-end smoke of the chaos layer: crash one vswitch per
 # configuration, let the watchdog + supervisor heal it, and fail if
 # any run ends unrepaired or with an accounting violation (--check).
+# Crash plans run on the batched chain; the checked-in ingress link
+# flap (examples/plans/ingress-link-flap.json) acts upstream of every
+# batch station, so it runs on the per-frame oracle.
 chaos-smoke:
 	rm -rf .chaos-smoke
 	PYTHONPATH=src $(PYTHON) -m repro chaos \
@@ -107,6 +112,10 @@ chaos-smoke:
 	test -s .chaos-smoke/events.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro chaos \
 		--duration 0.12 --check --warm-standby \
+		--cache-dir .chaos-smoke/cache
+	PYTHONPATH=src $(PYTHON) -m repro chaos \
+		--duration 0.12 --check \
+		--plan examples/plans/ingress-link-flap.json \
 		--cache-dir .chaos-smoke/cache
 	rm -rf .chaos-smoke
 

@@ -13,9 +13,7 @@ Layout:
 - :mod:`~repro.controlplane.service` -- :class:`ControlPlane`, the
   resident service tying it all together;
 - :mod:`~repro.controlplane.workload` -- the ``controlplane.churn``
-  scenario-engine entry point;
-- :mod:`~repro.controlplane.driver` -- :class:`ChurnScript`, scripted
-  lifecycle churn against a live packet-level testbed.
+  scenario-engine entry point.
 """
 
 from repro.controlplane.lifecycle import (  # noqa: F401

@@ -19,6 +19,7 @@ Every step lands in the deployment's :class:`~repro.core.primitives.OpLog`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -150,14 +151,16 @@ class Deployment:
     def hold_oracle(self, reason: str) -> None:
         """Mark this deployment's runs for the per-frame oracle path.
 
-        Whatever can change the run at instants the batched path cannot
-        see coming holds a mark while it is armed: a chaos session
-        (``"chaos"``), a scheduled or in-flight tenant migration or
-        removal (``"lifecycle"``), and the packet tracer (``"tracer"``,
-        whose per-hop spans exist only per frame).  A batch straddling
-        a fault or lifecycle instant would deliver or drop as a unit
-        where the oracle splits it at the instant.  Balanced by
-        :meth:`release_oracle`.
+        Whatever the batched path cannot reproduce holds a mark while
+        it is armed: a chaos session with a fault upstream of the batch
+        stations (``"chaos"``: a link, VF or loss fault; vswitch
+        crashes are catch-up points instead, see
+        :meth:`~repro.vswitch.ovs.OvsBridge.crash`), a scheduled or
+        in-flight tenant migration or removal (``"lifecycle"``: a
+        batch straddling the instant would deliver or drop as a unit
+        where the oracle splits it), and the packet tracer
+        (``"tracer"``, whose per-hop spans exist only per frame).
+        Balanced by :meth:`release_oracle`.
         """
         self.oracle_holds[reason] = self.oracle_holds.get(reason, 0) + 1
 
@@ -241,7 +244,8 @@ class Deployment:
         for bridge in timed:
             bridge.set_batch_stations(
                 margin_fn=lambda plan, b=bridge:
-                    self._resolve_plan(b, plan))
+                    self._resolve_plan(b, plan),
+                catch_up=self.catch_up_batches)
         self._batch_stations = [station for bridge in timed
                                 for station in bridge._stations]
 
@@ -251,27 +255,39 @@ class Deployment:
         Scheduled by the harness once traffic has stopped (mid-cooldown)
         so unbounded-margin groups whose bursts never completed -- tail
         members still pending when the generator stopped -- reach the
-        sink before the simulation ends.
+        sink before the simulation ends.  Armed bridges count every
+        member arrived by now (the last drain runs at the stop time).
         """
         for bridge in self.bridges:
             for station in bridge._stations:
                 drain = getattr(station, "drain", None)
                 if drain is not None:
                     drain()
+        # Through the stop time: a frame arriving then still counts.
+        through = math.nextafter(self.sim.now, _INF)
+        for bridge in self.bridges:
+            if bridge.fault_armed:
+                bridge.settle(through)
 
     def catch_up_batches(self) -> None:
-        """Bring every batch station's busy period up to ``sim.now``.
+        """Bring the batched chain up to ``sim.now``.
 
         Stations replay their service lazily (see
-        :class:`~repro.sim.resources.BatchFairStation`); anything that
-        reads station or downstream state mid-run -- busy time, VF and
-        tap counters -- calls this first.
+        :class:`~repro.sim.resources.BatchFairStation`), and armed
+        bridges count batched members by arrival
+        (:meth:`~repro.vswitch.ovs.OvsBridge.settle`); anything that
+        reads station, bridge or downstream state mid-run -- busy time,
+        pass and VF counters, taps -- calls this first, and so does
+        every crash and restore instant.
         """
         for bridge in self.bridges:
             for station in bridge._stations:
                 catch_up = getattr(station, "catch_up", None)
                 if catch_up is not None:
                     catch_up()
+        for bridge in self.bridges:
+            if bridge.fault_armed:
+                bridge.settle(self.sim.now)
 
     def batch_watermark(self) -> float:
         """Earliest time a batch station can still hand members on.
@@ -551,6 +567,7 @@ class Deployment:
         route.app = app
         route.app_epoch = app.epoch if app is not None else 0
         route.bridge = bridge2
+        route.header = frame
         route.in_port_no = port2.port_no
         route.template = template
         route.template_key = key2

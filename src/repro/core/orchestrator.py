@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import billing as _billing
 from repro.core.controller import CompartmentView
 from repro.core.deployment import Deployment
 from repro.core.spec import ArpMode
@@ -41,14 +40,11 @@ from repro.sriov.vf import FunctionKind
 from repro.units import MSEC
 from repro.vswitch.datapath import PortClass
 from repro.vswitch.l2fwd import L2Fwd
+from repro.vswitch.ovs import OvsBridge
 
 #: Cost of one control-plane primitive (API round trip + device
 #: reconfiguration).  Real clouds see single-digit milliseconds.
 CONTROL_OP_LATENCY = 2.0 * MSEC
-
-#: Rebooting a crashed vswitch VM (kernel boot + OVS start + flow
-#: re-installation by the controller).
-VSWITCH_RESTART_LATENCY = 1.5
 
 
 def _fault_noop(op: str) -> None:
@@ -59,74 +55,41 @@ def _fault_noop(op: str) -> None:
     ).labels(op=op).inc()
 
 
-def crash_bridge(bridge) -> dict:
-    """Stop a vswitch forwarding: its ports blackhole (the process/VM
-    died; frames DMA'd to its VFs land in dead rings).  Returns the
-    state :func:`restore_bridge` needs.
+def _checked(bridge, what: str) -> OvsBridge:
+    if not isinstance(bridge, OvsBridge):
+        raise ConfigurationError(f"not a {what} bridge: {bridge!r}")
+    return bridge
 
-    Idempotent: crashing an already-crashed bridge is a counted no-op
-    (fault schedules may overlap an ongoing outage) that returns the
-    original saved state.  Blackholed frames are tallied on
-    ``bridge.fault_blackhole_drops`` so chaos runs can close their
-    packet-conservation books."""
-    if bridge is None or not hasattr(bridge, "ports"):
-        raise ConfigurationError(f"not a crashable bridge: {bridge!r}")
-    existing = getattr(bridge, "_fault_saved", None)
-    if existing is not None:
+
+def crash_bridge(bridge) -> List[float]:
+    """Stop a vswitch forwarding at ``sim.now``: from this instant,
+    frames reaching its ports blackhole (the process/VM died; frames
+    DMA'd to its VFs land in dead rings) and are tallied on
+    ``bridge.fault_blackhole_drops``, so chaos runs can close their
+    packet-conservation books.  Returns the outage window ``[down,
+    up]`` (``up`` is ``inf`` until :func:`restore_bridge`).
+
+    The instant is a catch-up point of the batched chain
+    (:meth:`~repro.vswitch.ovs.OvsBridge.crash`), so a bridge armed for
+    faults runs batched across it.  Idempotent: crashing a crashed
+    bridge is a counted no-op (fault schedules may overlap an ongoing
+    outage) that returns the open window."""
+    bridge = _checked(bridge, "crashable")
+    if bridge.down:
         _fault_noop("crash")
-        return existing
-    if not hasattr(bridge, "fault_blackhole_drops"):
-        bridge.fault_blackhole_drops = 0
-    saved = {}
-    saved_batch = {}
-    for port in bridge.ports():
-        saved[port.port_no] = port
-        saved_batch[port.port_no] = port.pair.rx._batch_handler
-
-        def _blackhole(frame, _bridge=bridge) -> None:
-            _bridge.fault_blackhole_drops += 1
-            if _billing.METER.enabled:
-                _billing.METER.fault_drop(getattr(frame, "tenant_id", None))
-
-        def _blackhole_batch(batch, _bridge=bridge) -> None:
-            n = len(batch)
-            _bridge.fault_blackhole_drops += n
-            if _billing.METER.enabled:
-                tenant = getattr(batch.frame, "tenant_id", None)
-                for _ in range(n):
-                    _billing.METER.fault_drop(tenant)
-
-        port.pair.rx.connect(_blackhole)
-        # The batched fast path delivers through the batch handler when
-        # one is connected; a dead ring swallows those frames too.
-        port.pair.rx.connect_batch(_blackhole_batch)
-    bridge._fault_saved = saved
-    bridge._fault_saved_batch = saved_batch
-    return saved
+        return bridge.outage
+    return bridge.crash()
 
 
-def restore_bridge(bridge, saved: Optional[dict] = None) -> None:
-    """Reattach a recovered vswitch to its ports.
-
-    Idempotent: restoring a healthy bridge is a counted no-op.  The
-    port map recorded by :func:`crash_bridge` on the bridge itself is
-    authoritative; the ``saved`` argument is accepted for backward
-    compatibility with callers that thread it through."""
-    if bridge is None or not hasattr(bridge, "ports"):
-        raise ConfigurationError(f"not a restorable bridge: {bridge!r}")
-    current = getattr(bridge, "_fault_saved", None)
-    if current is None:
-        current = saved  # legacy caller crashed before this change
-        if not current:
-            _fault_noop("restore")
-            return
-    saved_batch = getattr(bridge, "_fault_saved_batch", None) or {}
-    for port in current.values():
-        port.pair.rx.connect(
-            lambda frame, p=port: bridge._ingress(p, frame))
-        port.pair.rx._batch_handler = saved_batch.get(port.port_no)
-    bridge._fault_saved = None
-    bridge._fault_saved_batch = None
+def restore_bridge(bridge) -> None:
+    """Let a crashed vswitch forward again from ``sim.now`` (a
+    catch-up point too).  Idempotent: restoring a healthy bridge is a
+    counted no-op."""
+    bridge = _checked(bridge, "restorable")
+    if not bridge.down:
+        _fault_noop("restore")
+        return
+    bridge.restore()
 
 
 @dataclass
@@ -159,7 +122,6 @@ class MtsOrchestrator:
         for t in range(deployment.spec.num_tenants):
             self.tenant_compartment[t] = deployment.spec.compartment_of_tenant(t)
         self.migrations: List[MigrationRecord] = []
-        self._crashed: Dict[int, dict] = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -416,41 +378,6 @@ class MtsOrchestrator:
         self._setup_arp(tenant_id, view)
         self.tenant_compartment[tenant_id] = target
         d.release_oracle("lifecycle")
-
-    # -- fault injection ----------------------------------------------------
-
-    def crash_compartment(self, k: int) -> None:
-        """Kill a vswitch VM (fault-isolation experiments): frames for
-        its tenants blackhole until :meth:`restart_compartment`."""
-        d = self.deployment
-        if k in self._crashed:
-            raise ConfigurationError(f"compartment {k} already down")
-        if not 0 <= k < len(d.vswitch_vms):
-            raise ConfigurationError(f"no compartment {k}")
-        self._crashed[k] = crash_bridge(d.bridges[k])
-        d.hypervisor.stop(d.vswitch_vms[k])
-        d.oplog.record("crash", f"vsw{k}", "fault injection")
-
-    def restart_compartment(self, k: int) -> float:
-        """Reboot a crashed vswitch VM; forwarding resumes after
-        :data:`VSWITCH_RESTART_LATENCY` of simulated time.  Returns the
-        completion timestamp."""
-        d = self.deployment
-        saved = self._crashed.pop(k, None)
-        if saved is None:
-            raise ConfigurationError(f"compartment {k} is not down")
-        completes_at = d.sim.now + VSWITCH_RESTART_LATENCY
-
-        def _up() -> None:
-            restore_bridge(d.bridges[k], saved)
-            d.vswitch_vms[k].state = d.vswitch_vms[k].state.__class__.RUNNING
-            d.oplog.record("restart", f"vsw{k}", "recovered")
-
-        d.sim.call_later(VSWITCH_RESTART_LATENCY, _up)
-        return completes_at
-
-    def is_down(self, k: int) -> bool:
-        return k in self._crashed
 
     def _reroute_l2fwd(self, tenant_id: int, vm: Vm) -> None:
         d = self.deployment

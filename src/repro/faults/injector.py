@@ -34,7 +34,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.orchestrator import crash_bridge, restore_bridge
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, OUTAGE_KINDS
+from repro.faults.plan import (LINK_KINDS, OUTAGE_KINDS, FaultKind,
+                               FaultPlan, FaultSpec)
 
 
 class Injector:
@@ -53,8 +54,17 @@ class Injector:
         now0 = self.sim.now
         span = (self.plan.horizon if self.plan.horizon is not None
                 else horizon)
+        harness = self.session.harness
         for i, fault in enumerate(self.plan.faults):
-            self._resolve(fault)  # fail fast on bad targets, at arm time
+            # Fail fast on bad targets, at arm time.
+            target = self._resolve(fault)
+            if fault.kind is FaultKind.VSWITCH_CRASH:
+                target.arm_faults()
+            elif fault.kind in LINK_KINDS and target is harness.ingress_link:
+                # The generator hands frames to its link up to a burst
+                # ahead of their wire time, and a link fault judges each
+                # frame when it is handed over: emit each at its time.
+                harness.lg.burst = 1
             if fault.scripted:
                 self.sim.schedule(now0 + fault.at, self._inject, i, fault)
                 if fault.duration is not None:

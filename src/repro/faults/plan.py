@@ -61,6 +61,20 @@ OUTAGE_KINDS = frozenset({
     FaultKind.LINK_FLAP,
 })
 
+#: Kinds that act on a link's ``send``.
+LINK_KINDS = frozenset({
+    FaultKind.LINK_FLAP,
+    FaultKind.PACKET_LOSS,
+    FaultKind.PACKET_CORRUPT,
+})
+
+#: Kinds that act on the wire or a VF, upstream of every batch station:
+#: they swap per-frame handlers the batched chain never calls, so a plan
+#: holding one runs on the per-frame oracle.  A vswitch crash is a
+#: catch-up point of the batched chain instead, and a controller
+#: partition touches no frame.
+UPSTREAM_KINDS = LINK_KINDS | {FaultKind.VF_RESET}
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -147,11 +161,8 @@ class FaultSpec:
 class RestartPolicySpec:
     """Supervisor knobs: backoff, budget, breaker, recovery costs.
 
-    All times are simulated seconds.  The restart/re-sync constants are
-    deliberately smaller than the orchestrator's cold
-    :data:`~repro.core.orchestrator.VSWITCH_RESTART_LATENCY` (1.5 s):
-    the supervisor models a hot respawn from a pre-booted image, the
-    orchestrator a full VM reboot.
+    All times are simulated seconds.  The supervisor models a hot
+    respawn from a pre-booted image, not a full VM reboot.
     """
 
     #: First-restart delay; attempt ``k`` waits ``base * factor**(k-1)``.

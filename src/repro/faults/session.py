@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.faults.injector import Injector
-from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.plan import UPSTREAM_KINDS, FaultPlan, FaultSpec
 from repro.faults.supervisor import Supervisor
 from repro.faults.watchdog import Watchdog
 from repro.obs.integrate import drop_totals
@@ -95,6 +95,10 @@ class ChaosSession:
         self._armed_at = 0.0
         self._drops_base: Dict[str, float] = {}
         self._blackhole_base = 0
+        #: The plan acts upstream of the batch stations (see
+        #: ``UPSTREAM_KINDS``): the run needs the per-frame oracle.
+        self._holds_oracle = any(f.kind in UPSTREAM_KINDS
+                                 for f in plan.faults)
         self._finished: Optional[Dict[str, float]] = None
 
     # -- metric families --------------------------------------------------
@@ -122,11 +126,16 @@ class ChaosSession:
     def arm(self, horizon: float) -> None:
         """Snapshot baselines, schedule the plan, start the watchdog.
 
-        Marks the deployment for the per-frame oracle until
-        :meth:`finish` (see ``Deployment.hold_oracle``), and registers
-        the session on the run context, so the harness attaches no
-        second one and a metered run charges this one's recoveries."""
-        self.deployment.hold_oracle("chaos")
+        A plan with a fault upstream of the batch stations (a link or VF
+        fault, see ``UPSTREAM_KINDS``) marks the deployment for the
+        per-frame oracle until :meth:`finish` (see
+        ``Deployment.hold_oracle``); vswitch crashes and controller
+        partitions run batched, each crash target armed for its
+        instants (``OvsBridge.arm_faults``).  Registers the session on
+        the run context, so the harness attaches no second one and a
+        metered run charges this one's recoveries."""
+        if self._holds_oracle:
+            self.deployment.hold_oracle("chaos")
         context.register_chaos(self)
         self._horizon = horizon
         self._armed_at = self.sim.now
@@ -164,8 +173,7 @@ class ChaosSession:
                 and self.deployment.spec.level is SecurityLevel.LEVEL_2)
 
     def _blackhole_drops(self) -> int:
-        return sum(getattr(b, "fault_blackhole_drops", 0)
-                   for b in self.deployment.bridges)
+        return sum(b.fault_blackhole_drops for b in self.deployment.bridges)
 
     # -- injector callbacks ----------------------------------------------
 
@@ -320,7 +328,8 @@ class ChaosSession:
         flat summary (idempotent)."""
         if self._finished is not None:
             return self._finished
-        self.deployment.release_oracle("chaos")
+        if self._holds_oracle:
+            self.deployment.release_oracle("chaos")
         lg = self.harness.lg
         sink = self.harness.sink
         offered = lg.sent

@@ -268,6 +268,11 @@ class BatchFairStation:
         #: value with a count.
         self._present: "dict[float, int]" = {}
         self._lookahead = _INF
+        #: Members may turn out never to have arrived (their bridge was
+        #: down when they would have): each is then asked about at its
+        #: admission (``group.dead(i)``) and, if dead, vanishes -- no
+        #: ring slot, no drop counted -- as if it had never registered.
+        self.mortal = False
 
     def submit_group(self, group: Any) -> None:
         """Register every member of ``group`` as a future arrival.
@@ -491,6 +496,7 @@ class BatchFairStation:
         capacity = self.queue_capacity
         present = self._present
         dirty = self._dirty
+        mortal = self.mortal
         # Server state lives in locals for the replay; nothing re-entered
         # from a commit or flush reads it (oldest_unflushed reads _clock).
         inflight = self._inflight
@@ -537,6 +543,10 @@ class BatchFairStation:
             #    event that completes it.
             while pending and pending[0][0] <= now:
                 _, seq, group, pos, cursor = pending[0]
+                if mortal:
+                    self._admit_one(group, seq, pos, cursor, now)
+                    admitted += 1
+                    continue
                 ring = rings.get(group.key)
                 if ring is None:
                     ring = rings[group.key] = deque()
@@ -630,9 +640,46 @@ class BatchFairStation:
         if at is not None:
             self._arm(at)
 
-    def _drop(self, group: Any, i: int, now: float) -> None:
-        """Ring-drop member ``i``; flush the group if that completed it."""
-        self._drops += 1
+    def _admit_one(self, group: Any, seq: int, pos: int, cursor: Any,
+                   now: float) -> None:
+        """Admit the head registration's next member alone (mortal
+        stations): it vanishes if ``group.dead(i)``, else takes a ring
+        slot or drops.  Its ring is made at its first live member, as
+        the per-frame station makes its queue."""
+        pending = self._pending
+        if cursor is None:
+            i = pos
+            heapq.heappop(pending)
+        else:
+            ts, order, base, last = cursor
+            i = seq - base
+            if pos == last:
+                heapq.heappop(pending)
+            else:
+                pos += 1
+                j = pos if order is None else order[pos]
+                heapq.heapreplace(pending,
+                                  (ts[pos], base + j, group, pos, cursor))
+        if group.dead(i):
+            self._drop(group, i, now, vanish=True)
+            return
+        ring = self._rings.get(group.key)
+        if ring is None:
+            ring = self._rings[group.key] = deque()
+            self._ring_order.append(ring)
+        capacity = self.queue_capacity
+        if capacity is None or len(ring) < capacity:
+            ring.append((group, i))
+        else:
+            self._drop(group, i, now)
+
+    def _drop(self, group: Any, i: int, now: float,
+              vanish: bool = False) -> None:
+        """Ring-drop member ``i`` (or, with ``vanish``, let a member
+        that never arrived go uncounted); flush the group if that
+        completed it."""
+        if not vanish:
+            self._drops += 1
         lookahead = group.lookahead
         present = self._present
         left = present[lookahead] - 1

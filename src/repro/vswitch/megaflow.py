@@ -99,17 +99,21 @@ class DeferredLookups:
     its own (``keys``).  A *bulk* run's members are known hits up
     front: their slots already hold ``hit``, and the cache only counts
     them later.  An *open* run (a fused sink) grows member by member
-    through :meth:`add`.
+    through :meth:`add`.  At a bridge that may crash, ``gate(i)`` says
+    whether member ``i`` arrived while the bridge was down: such a
+    member never looks up (see :meth:`MegaflowCache.defer`).
     """
 
     __slots__ = ("cache", "key", "keys", "ts", "rid", "svc", "hit", "miss",
-                 "ascending", "bulk", "open", "last", "counted")
+                 "ascending", "bulk", "open", "last", "counted", "gate")
 
     def __init__(self, cache: "MegaflowCache", key: Optional[Tuple],
                  keys: Optional[List[Tuple]], ts: List[float],
                  svc: list, hit: float, miss: float, rid: int,
-                 ascending: bool, open_: bool) -> None:
+                 ascending: bool, open_: bool,
+                 gate: Optional[Callable[[int], bool]] = None) -> None:
         self.cache = cache
+        self.gate = gate
         self.key = key
         self.keys = keys
         self.ts = ts
@@ -209,6 +213,9 @@ class MegaflowCache:
         #: Calm only: key -> (arrival, run id, member) of its latest
         #: counted touch.  None once the cache is a strict LRU.
         self._stamps: Optional[dict] = None
+        #: Some run carries a gate (the bridge may crash): resolution
+        #: asks it about each of the run's members.
+        self._gated = False
 
     @property
     def stats(self) -> CacheStats:
@@ -288,17 +295,24 @@ class MegaflowCache:
 
     def defer(self, key: Optional[Tuple], keys: Optional[List[Tuple]],
               ts: List[float], svc: list, hit: float, miss: float,
-              open_: bool = False) -> DeferredLookups:
+              open_: bool = False,
+              gate: Optional[Callable[[int], bool]] = None
+              ) -> DeferredLookups:
         """Register the lookups of a group's members, arriving at ``ts``
         (ascending), keyed by ``key`` or per member by ``keys``.  ``svc``
         holds ``hit`` for each member; the slots of members whose
         outcome is not known yet become None.  An ``open_`` run starts
-        empty and grows through :meth:`DeferredLookups.add`."""
+        empty and grows through :meth:`DeferredLookups.add`.  A
+        ``gate`` is asked, when member ``i``'s turn to resolve comes,
+        whether it never reached the bridge; such a run is never
+        bulk."""
         rid = self._rid
         self._rid = rid + 1
+        if gate is not None:
+            self._gated = True
         run = DeferredLookups(self, key, keys, ts, svc, hit, miss, rid,
-                              not open_, open_)
-        if (self._stamps is not None and keys is None
+                              not open_, open_, gate)
+        if (self._stamps is not None and keys is None and gate is None
                 and key in self._entries):
             run.bulk = True
             bulk = self._bulk
@@ -341,6 +355,7 @@ class MegaflowCache:
         stats = self._stats
         stamps = self._stamps
         capacity = self.capacity
+        gated = self._gated
         resolved = 0
         while pending:
             head = pending[0]
@@ -348,23 +363,26 @@ class MegaflowCache:
             if ht > t or (ht == t and (hrid > rid
                                        or (hrid == rid and hj > j))):
                 break
-            key = run.key if run.keys is None else run.keys[hj]
-            count = entries.get(key)
-            if count is not None:
-                entries[key] = count + 1
-                if stamps is None:
-                    entries.move_to_end(key)
-                stats.hits += 1
-                run.svc[hj] = run.hit
+            if gated and run.gate is not None and run.gate(hj):
+                pass  # the member never reached the bridge
             else:
-                entries[key] = 1
-                stats.misses += 1
-                if len(entries) > capacity:
-                    entries.popitem(last=False)
-                    stats.evictions += 1
-                run.svc[hj] = run.miss
-            if stamps is not None:
-                stamps[key] = (ht, hrid, hj)
+                key = run.key if run.keys is None else run.keys[hj]
+                count = entries.get(key)
+                if count is not None:
+                    entries[key] = count + 1
+                    if stamps is None:
+                        entries.move_to_end(key)
+                    stats.hits += 1
+                    run.svc[hj] = run.hit
+                else:
+                    entries[key] = 1
+                    stats.misses += 1
+                    if len(entries) > capacity:
+                        entries.popitem(last=False)
+                        stats.evictions += 1
+                    run.svc[hj] = run.miss
+                if stamps is not None:
+                    stamps[key] = (ht, hrid, hj)
             resolved += 1
             self._resolved = (ht, hrid, hj)
             nxt = hj + 1

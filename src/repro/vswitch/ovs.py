@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from repro import billing as _billing
 from repro import obs as _obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.host.cpu import ComputeShare
 from repro.net.addresses import MacAddress
 from repro.net.interfaces import PortPair
@@ -120,15 +120,53 @@ class _FusedRoute:
     add them one hop at a time, as the oracle's event chain does, so
     arrival timestamps match it to the last bit.  ``lookahead`` is the
     station lookahead of the upstream members (see
-    :class:`~repro.sim.resources.BatchFairStation`).
+    :class:`~repro.sim.resources.BatchFairStation`).  ``header`` is the
+    header the members arrive with at the route's bridge (what an armed
+    bridge's ledger counts the pass with, see :class:`_Ledger`).
     """
 
     __slots__ = ("legs", "l2fwd_base", "drain_interval", "drain_unit",
-                 "app", "app_epoch", "bridge",
+                 "app", "app_epoch", "bridge", "header",
                  "in_port_no", "template", "template_key", "flow_head",
                  "dst_port", "out_ports", "model", "share", "num_queues",
                  "num_ports", "jitter", "key_or", "station", "cycles",
                  "lookahead", "next")
+
+
+class _Ledger:
+    """The counters one group's members owe an armed bridge.
+
+    A bridge a fault plan may crash (:meth:`OvsBridge.arm_faults`)
+    cannot count batched members when they are handed to it: a crash
+    or restore instant may fall before they arrive.  Each group there
+    keeps a ledger instead -- the pass's counter steps, as
+    :meth:`OvsBridge._replay` bumps them for a member arriving with
+    ``frame`` at ``port``, and the members' arrival times ``ts`` --
+    which :meth:`OvsBridge.settle` pays by arrival, up to ``upto``.
+    ``open`` while members may still join (a fused sink not sealed).
+    """
+
+    __slots__ = ("port", "steps", "src_mac", "tenant", "ts", "upto",
+                 "open")
+
+    def __init__(self, port: "BridgePort", template: _PlanTemplate,
+                 frame: Frame, ts: List[float], open_: bool) -> None:
+        self.port = port
+        self.src_mac = frame.src_mac
+        self.tenant = frame.tenant_id
+        frame = frame.replica()
+        steps = []
+        for op, target, rule in template.steps:
+            if op == _HIT:
+                steps.append((target, rule, frame.wire_size()))
+            elif op == _MISS:
+                steps.append((target, None, 0))
+            else:
+                target.apply(frame)
+        self.steps = steps
+        self.ts = ts
+        self.upto = -_INF
+        self.open = open_
 
 
 class _FusedSink:
@@ -154,14 +192,20 @@ class _FusedSink:
     route does; its lookahead is then the onward route's, and
     completing seals the downstream sink.  Otherwise its flush is
     fabric-bound.
+
+    At an armed bridge the sink keeps its members' arrival times and a
+    :class:`_Ledger`: a member that arrives while the bridge is down
+    vanishes at admission (:meth:`dead`), and the accounting traversal
+    counts nothing.
     """
 
     margin = _INF
 
     __slots__ = ("route", "bridge", "key", "out_ports", "svc", "batch",
-                 "sink", "lookahead", "lookups", "_service", "_wait",
-                 "_ids", "_created", "_ports", "_src_port", "_done_idx",
-                 "_done_ts", "_submitted", "_resolved", "_sealed")
+                 "sink", "lookahead", "lookups", "ledger", "_service",
+                 "_wait", "_ids", "_created", "_ports", "_src_port",
+                 "_arrivals", "_done_idx", "_done_ts", "_submitted",
+                 "_resolved", "_sealed")
 
     def __init__(self, route: _FusedRoute, src_port: Optional[int]) -> None:
         """``src_port``: the members' shared L4 source port, or None when
@@ -185,7 +229,18 @@ class _FusedSink:
         self._created: List[float] = []
         self._ports: Optional[List[int]] = [] if src_port is None else None
         self._src_port = src_port
-        cache = self.bridge.cache
+        bridge = self.bridge
+        self.ledger: Optional[_Ledger] = None
+        self._arrivals: Optional[List[float]] = None
+        gate = None
+        if bridge.fault_armed:
+            self._arrivals = []
+            self.ledger = _Ledger(bridge._ports[route.in_port_no],
+                                  route.template, route.header,
+                                  self._arrivals, True)
+            bridge._ledgers.append(self.ledger)
+            gate = self.dead
+        cache = bridge.cache
         self.lookups: Optional[DeferredLookups] = None
         if cache is not None:
             key = (None if src_port is None
@@ -193,7 +248,7 @@ class _FusedSink:
             self.lookups = cache.defer(
                 key, [] if src_port is None else None, [], self.svc,
                 self._service, (route.cycles + cache.upcall_cycles) / hz,
-                open_=True)
+                open_=True, gate=gate)
         self._done_idx: List[int] = []
         self._done_ts: List[float] = []
         self._submitted = 0
@@ -216,6 +271,8 @@ class _FusedSink:
         self._submitted = j + 1
         self._ids.append(frame_id)
         self._created.append(created_at)
+        if self._arrivals is not None:
+            self._arrivals.append(arrival)
         lookups = self.lookups
         if self._ports is not None:
             self._ports.append(src_port)
@@ -246,6 +303,8 @@ class _FusedSink:
     def seal(self) -> None:
         """Upstream group exhausted: the member set is final."""
         self._sealed = True
+        if self.ledger is not None:
+            self.ledger.open = False
         if self.lookups is not None:
             self.lookups.close()
         if self._resolved == self._submitted:
@@ -253,6 +312,11 @@ class _FusedSink:
             self.route.station._clean(self)
 
     # -- station group protocol ---------------------------------------
+
+    def dead(self, j: int) -> bool:
+        """Whether member ``j`` arrived while the (armed) bridge was
+        down."""
+        return self.bridge.dead_at(self._arrivals[j])
 
     def commit(self, j: int, t: float) -> bool:
         self._resolved += 1
@@ -354,6 +418,11 @@ class _BatchPassGroup:
         #: sub-batch can never grow again and should flush.
         self._remaining = len(sub_ts)
 
+    def dead(self, i: int) -> bool:
+        """Whether member ``i`` arrived while the (armed) bridge was
+        down."""
+        return self.bridge.dead_at(self.batch.ts[i])
+
     def commit(self, i: int, t: float) -> bool:
         if self.route is not None:
             batch = self.batch
@@ -425,6 +494,11 @@ class _SoloPlanGroup:
         self.lookups: Optional[DeferredLookups] = None
         self._done: Optional[float] = None
 
+    def dead(self, i: int) -> bool:
+        """Never: the frame reached the bridge alive (see
+        :meth:`OvsBridge._ingress`)."""
+        return False
+
     def commit(self, i: int, t: float) -> bool:
         self._done = t
         return True
@@ -493,6 +567,19 @@ class OvsBridge:
         self.drops_no_match = 0
         self.drops_action = 0
         self.passes = 0
+        #: Fault state (:meth:`crash` / :meth:`restore`): frames that
+        #: reach a crashed bridge blackhole, tallied here.
+        self.down = False
+        self.fault_blackhole_drops = 0
+        #: Outage windows ``[down, up]`` in time order (``up`` is
+        #: ``inf`` while down).
+        self._outages: List[List[float]] = []
+        #: A fault plan may crash this bridge (:meth:`arm_faults`).
+        self.fault_armed = False
+        self._ledgers: List[_Ledger] = []
+        #: Brings the whole batched chain up to ``sim.now`` (the
+        #: deployment's catch-up, set with the batch stations).
+        self._catch_up = None
 
     # -- configuration (ovs-vsctl equivalents) ---------------------------
 
@@ -590,7 +677,7 @@ class OvsBridge:
             for i in range(len(shares))
         ]
 
-    def set_batch_stations(self, margin_fn) -> None:
+    def set_batch_stations(self, margin_fn, catch_up) -> None:
         """Swap the per-core stations for batch-admitting ones.
 
         ``margin_fn(plan)`` resolves, per forwarding plan, how served
@@ -598,7 +685,9 @@ class OvsBridge:
         deployment knows where each egress lands, and answers ``inf``
         for fabric-bound plans (one flush per burst), a fused route for
         a deterministic chain into another batch station, and 0 (a
-        flush at every commit) for anything else.
+        flush at every commit) for anything else.  ``catch_up()``
+        brings every station of the chain up to ``sim.now``: a crash or
+        restore instant runs it first (:meth:`crash`).
         Every port -- existing and future -- also gets a batched rx
         handler so upstream components can hand whole bursts in.  Must
         be called after :meth:`set_compute`.
@@ -608,11 +697,15 @@ class OvsBridge:
                 f"bridge {self.name}: batched stations require timed compute")
         self._batch_mode = True
         self._margin_fn = margin_fn
+        self._catch_up = catch_up
         self._stations = [
             BatchFairStation(self.sim, queue_capacity=RX_RING_DEPTH,
                              name=f"{self.name}.core{i}")
             for i in range(len(self._shares))
         ]
+        if self.fault_armed or self._outages:
+            # A bridge with an outage behind it may still be down.
+            self.arm_faults()
         for port in self._ports.values():
             port.pair.rx.connect_batch(
                 lambda batch, p=port: self._ingress_batch(p, batch))
@@ -651,6 +744,120 @@ class OvsBridge:
             if station.replay_position() <= t:
                 station.catch_up(t)
 
+    # -- faults --------------------------------------------------------------
+
+    def arm_faults(self) -> None:
+        """Expect crash and restore instants mid-run (a fault plan
+        targets this bridge).
+
+        The batched chain hands members over, and fused routes register
+        them here, ahead of their arrival, so an instant can fall in
+        between.  On an armed bridge every batched member is judged by
+        its arrival time against the outage windows: one that arrives
+        while the bridge is down vanishes at its admission (the station
+        asks ``group.dead(i)``), takes no ring slot and no microflow
+        lookup; and members are counted in :class:`_Ledger` entries that
+        :meth:`settle` pays by arrival, not when they are handed over.
+        """
+        self.fault_armed = True
+        if self._batch_mode:
+            for station in self._stations:
+                station.mortal = True
+
+    def crash(self) -> List[float]:
+        """The vswitch dies at ``sim.now``: from this instant on, frames
+        reaching any port blackhole until :meth:`restore` (frames
+        already inside finish their pass).  The batched chain is first
+        brought up to the instant, so every counter reads what the
+        per-frame oracle reads then.  Returns the outage window."""
+        if self._batch_mode and not self.fault_armed:
+            raise SimulationError(
+                f"bridge {self.name}: crashed on the batched path without "
+                "arm_faults(); its counters already hold members that "
+                "would arrive while it is down")
+        now = self._fault_instant()
+        window = [now, _INF]
+        self._outages.append(window)
+        self.down = True
+        return window
+
+    def restore(self) -> None:
+        """The vswitch forwards again from ``sim.now`` on."""
+        self._outages[-1][1] = self._fault_instant()
+        self.down = False
+
+    def _fault_instant(self) -> float:
+        if self._catch_up is not None:
+            self._catch_up()
+        return self.sim.now if self.sim is not None else 0.0
+
+    @property
+    def outage(self) -> Optional[List[float]]:
+        """The open outage window while down, else None."""
+        return self._outages[-1] if self.down else None
+
+    def dead_at(self, t: float) -> bool:
+        """Whether a frame arriving at ``t`` finds the bridge down.
+        Decided for any ``t`` up to ``sim.now``."""
+        for start, end in reversed(self._outages):
+            if t >= start:
+                return t < end
+        return False
+
+    def settle(self, upto: float) -> None:
+        """Pay the ledgers up to ``upto``: each member arriving before
+        it counts as a pass (port, plan and rule counters, as
+        :meth:`_replay` counts one) or, if it arrived while the bridge
+        was down, as a blackhole drop.  The deployment settles armed
+        bridges whenever it catches up the batched chain, and at the end
+        of a run up to the stop time (inclusive)."""
+        keep = []
+        for ledger in self._ledgers:
+            lo = ledger.upto
+            later = ledger.open
+            if upto > lo:
+                alive = dead = 0
+                for t in ledger.ts:
+                    if t >= upto:
+                        later = True
+                    elif t >= lo:
+                        if self.dead_at(t):
+                            dead += 1
+                        else:
+                            alive += 1
+                ledger.upto = upto
+                if alive:
+                    self._pay(ledger, alive)
+                if dead:
+                    self._blackhole(ledger.tenant, dead)
+            else:
+                later = True
+            if later:
+                keep.append(ledger)
+        self._ledgers = keep
+
+    def _pay(self, ledger: _Ledger, n: int) -> None:
+        port = ledger.port
+        port.rx_frames += n
+        self.plan_cache_hits += n
+        self._learn(ledger.src_mac, port.port_no)
+        for table, rule, size in ledger.steps:
+            table.lookups += n
+            if rule is None:
+                table.misses += n
+            else:
+                rule.n_packets += n
+                rule.n_bytes += size * n
+        self.passes += n
+
+    def _blackhole(self, tenant: Optional[int], n: int) -> None:
+        """``n`` frames reached the bridge while it was down (dead
+        rings); a metered run charges them to the tenant."""
+        self.fault_blackhole_drops += n
+        if _billing.METER.enabled:
+            for _ in range(n):
+                _billing.METER.fault_drop(tenant)
+
     @property
     def num_cores(self) -> int:
         return len(self._shares)
@@ -663,6 +870,9 @@ class OvsBridge:
     # -- dataplane ---------------------------------------------------------
 
     def _ingress(self, port: BridgePort, frame: Frame) -> None:
+        if self.down:
+            self._blackhole(frame.tenant_id, 1)
+            return
         port.rx_frames += 1
         key = self.plan_key(frame, port.port_no)
         template = self._plan_cache.get(key)
@@ -902,7 +1112,10 @@ class OvsBridge:
         functional mode, or for per-member ports some rule could tell
         apart) members take the per-frame path at their own timestamps:
         the first walk installs the plan at the right simulated time,
-        and the flow's *next* burst batches.
+        and the flow's *next* burst batches.  An armed bridge
+        (:meth:`arm_faults`) counts the members by arrival instead, and
+        replays a dropping plan per frame, where each member meets the
+        bridge's state when it arrives.
         """
         sink = batch.fused_sink
         if sink is not None:
@@ -911,21 +1124,32 @@ class OvsBridge:
         frame = batch.frame
         template = self._plan_cache.get(self.plan_key(frame, port.port_no))
         if (template is None or not self._stations
-                or (batch.src_ports is not None and not self._port_blind)):
+                or (batch.src_ports is not None and not self._port_blind)
+                or (self.fault_armed and template.dropped)):
             sim = self.sim
             for i, t in enumerate(batch.ts):
                 sim.schedule(t, self._ingress, port, batch.frame_at(i))
             return
-        n = len(batch)
-        port.rx_frames += n
-        self.plan_cache_hits += n
-        plan = self._replay_batch(template, port, frame, n)
-        if plan.dropped:
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id,
-                                    plan.drop_reason or "consumed", n)
-            return
-        self.passes += n
+        if self.fault_armed:
+            # Counted by arrival (settle), where the members' fate is
+            # known; the header is rewritten now.
+            self._ledgers.append(_Ledger(port, template, frame, batch.ts,
+                                         False))
+            self._rewrite(template, frame)
+            plan = _ForwardPlan(frame=frame, in_port=port.port_no,
+                                out_ports=list(template.out_ports),
+                                rewrites=template.rewrites)
+        else:
+            n = len(batch)
+            port.rx_frames += n
+            self.plan_cache_hits += n
+            plan = self._replay_batch(template, port, frame, n)
+            if plan.dropped:
+                if _billing.METER.enabled:
+                    _billing.METER.drop(frame.tenant_id,
+                                        plan.drop_reason or "consumed", n)
+                return
+            self.passes += n
         self._dispatch_batch(plan, batch)
 
     def _ingress_accounting(self, port: BridgePort, batch: FrameBatch,
@@ -939,14 +1163,25 @@ class OvsBridge:
         on the exemplar -- and hands the header to the sink that emits
         the burst.
         """
-        # Members arriving after the kernel's stop time have not reached
-        # this bridge when the run's counters are read.
-        n = bisect_right(batch.ts, self.sim.stop_time)
-        port.rx_frames += n
-        self.plan_cache_hits += n
-        self._replay_batch(sink.route.template, port, batch.frame, n)
-        self.passes += n
+        if sink.ledger is not None:
+            # An armed bridge counts the members by arrival (settle).
+            self._rewrite(sink.route.template, batch.frame)
+        else:
+            # Members arriving after the kernel's stop time have not
+            # reached this bridge when the run's counters are read.
+            n = bisect_right(batch.ts, self.sim.stop_time)
+            port.rx_frames += n
+            self.plan_cache_hits += n
+            self._replay_batch(sink.route.template, port, batch.frame, n)
+            self.passes += n
         sink.attach_part(batch)
+
+    @staticmethod
+    def _rewrite(template: _PlanTemplate, frame: Frame) -> None:
+        """Apply a cached plan's header rewrites, counting nothing."""
+        for op, action, _rule in template.steps:
+            if op == _APPLY:
+                action.apply(frame)
 
     def _replay_batch(self, template: _PlanTemplate, port: BridgePort,
                       frame: Frame, n: int) -> _ForwardPlan:
@@ -1012,7 +1247,8 @@ class OvsBridge:
                 key = None
             group.lookups = cache.defer(
                 key, keys, ts, svc, svc[0],
-                (cycles + cache.upcall_cycles) / hz)
+                (cycles + cache.upcall_cycles) / hz,
+                gate=group.dead if self.fault_armed else None)
         self._stations[index].submit_group(group)
 
     def _execute_batch(self, group: _BatchPassGroup) -> None:

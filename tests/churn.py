@@ -1,19 +1,17 @@
-"""Churn scripting against a live testbed deployment.
+"""Scripted lifecycle churn against a live testbed deployment.
 
-:class:`ChurnScript` is the bridge between the control plane's idea of
-churn and the packet-level testbed: it schedules real
-:class:`~repro.core.orchestrator.MtsOrchestrator` lifecycle operations
-(live migrations, tenant removals) at simulated times on a deployment
-that a :class:`~repro.traffic.harness.TestbedHarness` is about to
-drive.
+:class:`ChurnScript` schedules real
+:class:`~repro.core.orchestrator.MtsOrchestrator` live migrations at
+simulated times on a deployment that a
+:class:`~repro.traffic.harness.TestbedHarness` is about to drive.  No
+workload migrates a tenant while packets flow; the tests use it to pin
+the "lifecycle" oracle mark and the per-frame oracle's behaviour across
+a migration.
 
-The script participates in the oracle-forcing gate: each scheduled
-operation marks the deployment (``hold_oracle("lifecycle")``) the
-moment it is armed, so a harness that starts afterwards sees pending
-churn and takes the per-frame oracle path -- mid-run mutations and the
-batched fast path do not compose, and the differential fuzz suite
-proves the oracle path byte-identical instead.  The mark is released
-when the operation fires (the orchestrator holds its own for the
+Each scheduled migration marks the deployment
+(``hold_oracle("lifecycle")``) the moment it is armed, so a harness that
+starts afterwards takes the per-frame oracle path.  The mark is released
+when the migration fires (the orchestrator holds its own for the
 migration window); :meth:`close` releases anything still armed, so an
 aborted run cannot leak the mark.
 """

@@ -289,9 +289,9 @@ class TestVebDecisionCacheDifferential:
 
 # -- batched mediation chain vs per-frame oracle -------------------------
 
-#: A mid-run vswitch crash that heals: exercises the batch blackhole
-#: handlers installed by the orchestrator and the deployment's chaos
-#: mark that keeps fused routes off while faults are armed.
+#: A mid-run vswitch crash that heals: both instants are catch-up
+#: points of the batched chain, and members that arrive between them
+#: vanish at their admission, fused registrations included.
 CRASH_PLAN = None  # built lazily; FaultPlan import is heavier
 
 
@@ -421,11 +421,10 @@ class TestBatchedChainDifferential:
 
     @pytest.mark.parametrize("metering", [False, True])
     def test_fault_plan(self, metering):
-        """A vswitch crash mid-run: a pending fault plan forces the
-        per-frame oracle path (fault/heal instants land at arbitrary
-        sim times, and a batch straddling one would deliver or drop as
-        a unit where the oracle splits it), so a batch-requested run
-        must produce byte-identical results."""
+        """A vswitch crash mid-run, batched: batches and fused
+        registrations straddle the crash and heal instants, and every
+        member is judged by its own arrival, as the oracle judges each
+        frame, so the run must produce byte-identical results."""
         oracle = _run_fig5(batch=False, burst=None, tracing=False,
                            metering=metering, faulted=True,
                            duration=0.008)
@@ -436,15 +435,20 @@ class TestBatchedChainDifferential:
         _assert_exact(oracle, batched)
 
     def test_fault_plan_forces_per_frame_path(self):
-        """The chaos gate itself: with a plan armed the harness must
-        not flip the generator into batched emission."""
+        """The chaos gate itself: with a link fault armed (it acts
+        upstream of every batch station) the harness must not flip the
+        generator into batched emission."""
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
+        from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
         from repro.scenario import context
         from repro.traffic import TestbedHarness
 
-        ctx = context.activate(_crash_plan(), seed=7)
+        flap = FaultPlan(faults=(
+            FaultSpec(kind=FaultKind.LINK_FLAP, target="link:ingress",
+                      at=0.0005, duration=0.0005),))
+        ctx = context.activate(flap, seed=7)
         try:
             spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                                   num_vswitch_vms=2)
@@ -461,7 +465,7 @@ class TestBatchedChainDifferential:
         harness starts, scheduled mid-run via ChurnScript."""
         from collections import defaultdict
 
-        from repro.controlplane.driver import ChurnScript
+        from tests.churn import ChurnScript
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
@@ -513,7 +517,7 @@ class TestBatchedChainDifferential:
     def test_churn_holds_drain(self):
         """Lifecycle marks must not leak: held before the ops fire,
         clear after the run (else every later run is deoptimized)."""
-        from repro.controlplane.driver import ChurnScript
+        from tests.churn import ChurnScript
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
@@ -865,3 +869,195 @@ class TestCacheBustingShapes:
             randomized=randomized, capacity=capacity, rng=rng)
         if label.startswith("policy-injection"):
             assert batched_ev < oracle_ev / 3, (batched_ev, oracle_ev)
+
+
+# -- vswitch crashes on the batched chain --------------------------------
+
+
+def _chaos_plans(n):
+    """Crash plans by name, for a deployment with ``n`` compartments:
+    compartment 0 crashes one third into a 0.03 s run (the overload
+    cases scale the instants down with their run).  Supervisor policies
+    are quick, so a supervised crash heals within the run."""
+    from repro.faults.plan import (FaultKind, FaultPlan, FaultSpec,
+                                   RestartPolicySpec)
+
+    quick = RestartPolicySpec(backoff_base=0.001, restart_latency=0.002,
+                              failover_latency=0.002)
+
+    def crash(at, duration=None, k=0):
+        return FaultSpec(kind=FaultKind.VSWITCH_CRASH,
+                         target=f"compartment:{k}", at=at,
+                         duration=duration)
+
+    def plans(scale):
+        return {
+            "clear": FaultPlan(faults=(crash(0.01 * scale, 0.01 * scale),)),
+            "supervised": FaultPlan(faults=(crash(0.01 * scale),),
+                                    heartbeat=0.002 * scale, policy=quick),
+            "standby": FaultPlan(faults=(crash(0.01 * scale),),
+                                 heartbeat=0.002 * scale, policy=quick,
+                                 warm_standby=True),
+            # A second crash lands inside the first outage (a counted
+            # no-op), and another compartment goes down across the
+            # first one's restore.
+            "overlap": FaultPlan(faults=(
+                crash(0.008 * scale, 0.01 * scale),
+                crash(0.012 * scale, 0.012 * scale),
+                crash(0.014 * scale, 0.008 * scale, k=n - 1))),
+            "budget0": FaultPlan(
+                faults=(crash(0.01 * scale),), heartbeat=0.002 * scale,
+                policy=RestartPolicySpec(max_restarts=0)),
+            # Several outages, drawn at arm time.
+            "stochastic": FaultPlan(faults=(FaultSpec(
+                kind=FaultKind.VSWITCH_CRASH, target="compartment:0",
+                mtbf=0.006 * scale, mttr=0.002 * scale),)),
+        }
+
+    return plans
+
+
+class _InstantReads:
+    """Mixed into a ChaosSession: the crashed bridge's pass counter as
+    the invariant reads it at each inject and repair."""
+
+    def on_injected(self, fault, state=None, **kwargs):
+        super().on_injected(fault, state=state, **kwargs)
+        if state is not None:
+            self.reads.append(("inject", state.name, state.passes_at_inject))
+
+    def _repair(self, state, **kwargs):
+        obj = state.obj
+        super()._repair(state, **kwargs)
+        self.reads.append(("repair", state.name, obj.passes))
+
+
+def _chaos_run(spec, traffic, plan, rates, duration, batch, metering):
+    """One chaos run: every observable the exactness contract compares,
+    the session's summary, events and instant reads, and each bridge's
+    fault, pass, port, plan and rule counters."""
+    from collections import defaultdict
+
+    import repro.billing as billing
+    from repro.billing.meter import TenantMeter
+    from repro.core import build_deployment
+    from repro.faults.session import ChaosSession
+    from repro.traffic import TestbedHarness
+
+    class Session(_InstantReads, ChaosSession):
+        reads: list
+
+    if metering:
+        billing.install(TenantMeter())
+    try:
+        d = build_deployment(spec, traffic, seed=5)
+        h = TestbedHarness(d, batch=batch)
+        for tenant, rate in enumerate(rates):
+            h.add_tenant_flow(tenant, rate)
+        session = Session(d, h, plan, seed=3)
+        session.reads = []
+        session.arm(duration)
+        result = h.run(duration=duration)
+        summary = session.finish()
+        meter = billing.METER.totals() if metering else None
+    finally:
+        if metering:
+            billing.uninstall(billing.METER)
+    mon = h.monitor
+    per_flow_eg = defaultdict(int)
+    for _t, f in mon.egress_times:
+        per_flow_eg[f] += 1
+    nicd = d.server.nic.total_drops()
+    return result.path, {
+        "sent": result.sent,
+        "delivered": result.delivered,
+        "per_flow": dict(h.sink.per_flow),
+        "samples": [(s.flow_id, s.t_in, s.t_out) for s in mon.samples],
+        "eg_count": dict(per_flow_eg),
+        "bridge_drops": {
+            b.name: (b.drops_no_match, b.drops_action, b.rx_drops(),
+                     b.plan_cache_hits, b.passes, b.fault_blackhole_drops,
+                     [p.rx_frames for p in b.ports()],
+                     [(t.lookups, t.misses,
+                       [(r.n_packets, r.n_bytes) for r in t])
+                      for t in b.tables.values()],
+                     b.cache.stats, len(b.cache))
+            for b in d.bridges},
+        "nic_drops": (nicd.spoof, nicd.filtered, nicd.no_destination,
+                      nicd.unconfigured_vf, nicd.rate_limited),
+        "meter": meter,
+        "drop_spans": None,
+        "unmatched": mon.unmatched_egress,
+        "loss": mon.loss_count(),
+        "summary": {k: summary[k] for k in (
+            "violations", "fault_drops", "component_drops", "mttr",
+            "injected", "recovered", "repaired", "giveups",
+            "unaccounted")},
+        "outages": session.outage_windows(),
+        "events": session.log.events,
+        "reads": session.reads,
+    }
+
+
+def _chaos_cases():
+    """(id, spec, traffic, plan name, rates, duration, metering)."""
+    from repro.core import ResourceMode, SecurityLevel, TrafficScenario
+    from repro.core.spec import DeploymentSpec
+
+    p2v, v2v = TrafficScenario.P2V, TrafficScenario.V2V
+    iso = ResourceMode.ISOLATED
+    base1 = DeploymentSpec(level=SecurityLevel.BASELINE)
+    base2 = DeploymentSpec(level=SecurityLevel.BASELINE, baseline_cores=2,
+                           resource_mode=iso)
+    l1 = DeploymentSpec(level=SecurityLevel.LEVEL_1)
+    l2 = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2)
+    l2x4 = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=4,
+                          resource_mode=iso)
+    low = ((5_000.0,) * 4, 0.03)
+    # 4 x 200 kpps fill the rx rings before the crash instant.
+    over = ((200_000.0,) * 4, 0.004)
+    return [
+        ("Baseline(1)-p2v-clear-metered", base1, p2v, "clear", low, True),
+        ("Baseline(1)-p2v-clear-overload", base1, p2v, "clear", over,
+         False),
+        ("Baseline(2)-p2v-supervised", base2, p2v, "supervised", low,
+         False),
+        ("Baseline(2)-v2v-overlap", base2, v2v, "overlap", low, False),
+        ("L1-p2v-clear", l1, p2v, "clear", low, False),
+        ("L1-p2v-budget0", l1, p2v, "budget0", low, False),
+        ("L1-p2v-supervised-overload", l1, p2v, "supervised", over, False),
+        ("L1-v2v-stochastic", l1, v2v, "stochastic", low, False),
+        ("L2(2)-p2v-supervised-metered", l2, p2v, "supervised", low, True),
+        ("L2(2)-p2v-standby", l2, p2v, "standby", low, False),
+        ("L2(2)-p2v-overlap-overload", l2, p2v, "overlap", over, False),
+        ("L2(2)-v2v-clear", l2, v2v, "clear", low, False),
+        ("L2(2)-v2v-overlap", l2, v2v, "overlap", low, False),
+        ("L2(4)-p2v-standby", l2x4, p2v, "standby", low, False),
+        ("L2(4)-p2v-budget0", l2x4, p2v, "budget0", low, False),
+    ]
+
+
+class TestChaosDifferential:
+    """Vswitch crash plans run batched: each crash and restore instant
+    is a catch-up point, and every member -- in a batch or a fused
+    registration that straddles an instant -- is judged by its own
+    arrival, as the per-frame oracle judges each frame.  Everything the
+    oracle observes matches, down to the pass counter the session reads
+    at each instant."""
+
+    @pytest.mark.parametrize("case", _chaos_cases(),
+                             ids=lambda case: case[0])
+    def test_matches_oracle(self, case):
+        _label, spec, traffic, plan_name, (rates, duration), metering = case
+        n = spec.num_vswitch_vms if spec.level.is_mts else 1
+        plan = _chaos_plans(n)(duration / 0.03)[plan_name]
+        oracle_path, oracle = _chaos_run(spec, traffic, plan, rates,
+                                         duration, False, metering)
+        path, batched = _chaos_run(spec, traffic, plan, rates, duration,
+                                   True, metering)
+        assert (oracle_path, path) == ("oracle", "batched")
+        assert oracle["summary"]["fault_drops"] > 0  # the crash bit
+        _assert_exact(oracle, batched)
+        for key in ("bridge_drops", "summary", "outages", "events",
+                    "reads"):
+            assert oracle[key] == batched[key], key

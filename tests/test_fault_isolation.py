@@ -1,17 +1,10 @@
-"""Vswitch crash fault isolation + orchestrator fault injection."""
+"""Vswitch crash fault isolation and premium compartments."""
 
 import pytest
 
 from repro.core import ResourceMode, SecurityLevel, TrafficScenario, build_deployment
-from repro.core.orchestrator import (
-    VSWITCH_RESTART_LATENCY,
-    MtsOrchestrator,
-)
 from repro.core.spec import DeploymentSpec
-from repro.errors import ConfigurationError
 from repro.experiments.fault_isolation import measure
-from repro.host.vm import VmState
-from repro.traffic import TestbedHarness
 from tests.conftest import make_spec
 
 PHASE = 0.04
@@ -53,45 +46,6 @@ class TestBlastRadiusOfACrash:
             result = measured(spec)
             assert all(f > 0.9 for f in result.after_recovery.values()), (
                 spec.label, result.after_recovery)
-
-
-class TestOrchestratorFaultInjection:
-    def _setup(self):
-        d = build_deployment(make_spec(level=SecurityLevel.LEVEL_2, vms=2),
-                             TrafficScenario.P2V)
-        return d, MtsOrchestrator(d), TestbedHarness(d)
-
-    def test_crash_marks_vm_stopped(self):
-        d, orch, _ = self._setup()
-        orch.crash_compartment(0)
-        assert orch.is_down(0)
-        assert d.vswitch_vms[0].state is VmState.STOPPED
-
-    def test_restart_resumes_forwarding(self):
-        d, orch, h = self._setup()
-        orch.crash_compartment(0)
-        completes = orch.restart_compartment(0)
-        assert completes == pytest.approx(VSWITCH_RESTART_LATENCY)
-        d.sim.run(until=completes + 1e-6)
-        assert not orch.is_down(0)
-        from repro.net import Frame, MacAddress
-        frame = Frame(src_mac=MacAddress.parse("02:1b:00:00:00:01"),
-                      dst_mac=d.ingress_dmac_for_tenant(0, 0),
-                      dst_ip=d.plan.tenant_ip(0), flow_id=0)
-        d.external_ingress(0).receive(frame)
-        d.sim.run(until=d.sim.now + 1.0)
-        assert h.sink.per_flow[0] == 1
-
-    def test_double_crash_rejected(self):
-        _, orch, _ = self._setup()
-        orch.crash_compartment(0)
-        with pytest.raises(ConfigurationError):
-            orch.crash_compartment(0)
-
-    def test_restart_of_healthy_compartment_rejected(self):
-        _, orch, _ = self._setup()
-        with pytest.raises(ConfigurationError):
-            orch.restart_compartment(1)
 
 
 class TestPremiumCompartments:

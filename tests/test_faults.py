@@ -375,6 +375,43 @@ class TestSupervisorPolicies:
         assert session.fault_drops.get(f"vf:{vf_name}", 0) > 0
 
 
+class TestLinkFaultsAtWireTime:
+    def test_ingress_flap_drops_the_frames_on_the_wire_in_its_window(self):
+        """An ingress link flap healed by the supervisor drops exactly
+        the frames whose wire time falls in its outage, and every tenant
+        is down for all of it.  The generator hands frames to the link
+        up to a burst ahead of their wire time, so judging each frame at
+        its hand-off shifted the outage by up to a burst span: 480 drops
+        where 506 were due, each tenant delivering 6-7% of its load."""
+        d = build_deployment(make_spec(level=SecurityLevel.LEVEL_2, vms=2),
+                             TrafficScenario.P2V)
+        h = TestbedHarness(d)
+        h.configure_tenant_flows(rate_per_flow_pps=5_000)
+        plan = FaultPlan(faults=(
+            FaultSpec(kind=FaultKind.LINK_FLAP, target="link:ingress",
+                      at=0.04),))
+        session = ChaosSession(d, h, plan, seed=0)
+        session.arm(0.12)
+        h.run(duration=0.12, warmup=0.0)
+        summary = session.finish()
+        (t0, t1), = session.outage_windows()
+        assert summary["recovered"] == 1 and t1 < 0.12
+        # Each flow's wire times, as the generator steps them.
+        flows = h.lg.flows
+        due = 0
+        for i, flow in enumerate(flows):
+            t = (i / len(flows)) / flow.rate_pps
+            while t < 0.12:
+                due += t0 <= t < t1
+                t = t + 1.0 / flow.rate_pps
+        assert session.fault_drops["link:ingress"] == due == 506
+        for flow in flows:
+            got = h.monitor.delivered_in_window(t0, t1,
+                                                flow_id=flow.flow_id)
+            assert got < 0.01 * flow.rate_pps * (t1 - t0), flow.flow_id
+        assert summary["violations"] == 0
+
+
 class TestHarnessAutoAttach:
     def test_fault_plan_reaches_any_harness_workload(self):
         """A plan on a non-chaos-aware workload (fig5.latency) attaches

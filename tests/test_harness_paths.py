@@ -7,11 +7,12 @@ oracle is observable by the harness and reported on the result.
 import pytest
 
 from repro import obs
-from repro.controlplane.driver import ChurnScript
+from tests.churn import ChurnScript
 from repro.core import SecurityLevel, TrafficScenario, build_deployment
 from repro.core.spec import DeploymentSpec
 from repro.experiments import fault_isolation, noisy_neighbor
-from repro.faults import campaign, scripted_crash
+from repro.faults import (FaultKind, FaultPlan, FaultSpec, campaign,
+                          scripted_crash)
 from repro.faults.session import ChaosSession
 from repro.scenario import ScenarioSpec
 from repro.traffic import TestbedHarness
@@ -35,12 +36,17 @@ def _tracer(h):
     return h
 
 
+#: A link fault acts upstream of every batch station, so its plan
+#: holds the "chaos" mark; vswitch crashes run batched.
+LINK_FLAP = FaultPlan(faults=(
+    FaultSpec(kind=FaultKind.LINK_FLAP, target="link:ingress", at=0.001,
+              duration=0.001),))
+
+
 def _chaos(h):
     # Armed directly on the deployment, as fault-isolation does: the
     # engine's scenario context never sees this session.
-    h.session = ChaosSession(h.deployment, h,
-                             scripted_crash(compartment=0, at=0.001,
-                                            duration=0.001))
+    h.session = ChaosSession(h.deployment, h, LINK_FLAP)
     h.session.arm(DURATION)
     return h
 
@@ -130,6 +136,32 @@ class TestPathSelection:
         assert h.deployment.oracle_reason() == "chaos"
         h.session.finish()
         assert h.deployment.oracle_reason() is None
+
+    @pytest.mark.parametrize("plan", [
+        scripted_crash(compartment=0, at=0.001, duration=0.001),
+        scripted_crash(compartment=0, at=0.001),
+        scripted_crash(compartment=1, at=0.001, warm_standby=True),
+        FaultPlan(faults=(
+            FaultSpec(kind=FaultKind.CONTROLLER_PARTITION,
+                      target="controller", at=0.0, duration=0.003),
+            FaultSpec(kind=FaultKind.VSWITCH_CRASH, target="compartment:0",
+                      at=0.001))),
+    ], ids=["scripted", "supervised", "warm-standby", "partition"])
+    def test_crash_plans_run_batched(self, plan):
+        """Vswitch crashes and controller partitions hold no mark:
+        each crash and restore instant is a catch-up point of the
+        batched chain."""
+        h = TestbedHarness(l2_deployment())
+        session = ChaosSession(h.deployment, h, plan)
+        session.arm(DURATION)
+        assert h.deployment.oracle_reason() is None
+        h.configure_tenant_flows(rate_per_flow_pps=20_000)
+        result = h.run(duration=DURATION)
+        summary = session.finish()
+        assert (result.path, result.oracle_reason) == ("batched", None)
+        assert h.lg.batch is True
+        assert summary["fault_drops"] > 0
+        assert summary["violations"] == 0
 
     def test_paired_observer_keeps_batched_path(self):
         h = TestbedHarness(l2_deployment())
@@ -246,7 +278,7 @@ class _Recording(TestbedHarness):
 class TestFaultIsolationPaths:
     def test_values_identical_batched_or_not(self, monkeypatch):
         """A session armed on the deployment (not through the engine)
-        must still force the oracle: the table is the same either way."""
+        runs its crash batched: the table is the same either way."""
         monkeypatch.setattr(campaign, "TestbedHarness", _Recording)
         phase = 0.04  # the quick plan's
         specs = fault_isolation.scenarios(phase=phase, seed=0)
@@ -257,5 +289,5 @@ class TestFaultIsolationPaths:
             values[batch] = [fault_isolation.measure_scenario(spec)
                              for spec in specs]
             reasons = {h.oracle_reason for h in _Recording.instances}
-            assert reasons == {"chaos" if batch else "batch=False"}
+            assert reasons == {None if batch else "batch=False"}
         assert values[True] == values[False]

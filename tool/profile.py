@@ -18,7 +18,11 @@ verified the batched-fastpath wins recorded in EXPERIMENTS.md.
 at 2.5 kpps each; ``--shape noisy-neighbor`` the noisy-neighbor
 experiment's: one 2 Mpps flow and three 10 kpps victims;
 ``--shape policy-injection`` the policy-injection experiment's: 40 kpps
-of randomized-source-port traffic and three 10 kpps victims.
+of randomized-source-port traffic and three 10 kpps victims;
+``--shape fault-isolation`` the fault-isolation experiment's: four
+tenants at 5 kpps, compartment 0 crashed a third of the way in and
+cleared at two thirds.  Each run prints the path it took (batched or
+oracle) and why it fell back to the oracle, if it did.
 
 Usage::
 
@@ -32,14 +36,17 @@ Usage::
         --duration 0.06                 # the overload shape
     python tool/profile.py --level l1 --shape policy-injection \
         --duration 0.06                 # the cache-busting shape
+    python tool/profile.py --level l2 --shape fault-isolation \
+        --duration 0.12                 # a crash and its clear
     python tool/profile.py --top 30     # more rows
     python tool/profile.py --duration 0.05
     python tool/profile.py --out prof.pstats   # also dump raw stats
     make profile                        # L2 p2v batched + oracle,
                                         # Baseline p2v, L2(2) v2v, the
-                                        # L2 latency load and the L1
+                                        # L2 latency load, the L1
                                         # noisy-neighbor and
-                                        # policy-injection shapes
+                                        # policy-injection shapes and
+                                        # the L2 fault-isolation shape
 """
 
 from __future__ import annotations
@@ -121,16 +128,31 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
         harness.configure_tenant_flows(
             rate_per_flow_pps=fig5_latency.DEFAULT_AGGREGATE_PPS
             / spec.num_tenants)
-    else:
+    elif shape != "fault-isolation":
         harness.configure_tenant_flows(rate_per_flow_pps=200_000)
+    session = None
+    if shape == "fault-isolation":
+        from repro.faults.campaign import RATE_PER_TENANT
+        from repro.faults.plan import scripted_crash
+        from repro.faults.session import ChaosSession
+
+        # As the experiment runs it: compartment 0 down for the middle
+        # third, its clear scripted.
+        harness.configure_tenant_flows(rate_per_flow_pps=RATE_PER_TENANT)
+        session = ChaosSession(deployment, harness, scripted_crash(
+            compartment=0, at=duration / 3.0, duration=duration / 3.0))
+        session.arm(duration)
     events = deployment.sim.events_fired
     result = harness.run(duration=duration)
+    if session is not None:
+        session.finish()
     caches = [bridge.cache.stats for bridge in deployment.bridges
               if bridge.cache is not None]
     return {"sent": result.sent, "delivered": result.delivered,
             "events": deployment.sim.events_fired - events,
             "lookups": sum(stats.lookups for stats in caches),
             "misses": sum(stats.misses for stats in caches),
+            "path": result.path, "reason": result.oracle_reason,
             "label": f"{spec.label} {traffic} {shape}"}
 
 
@@ -148,13 +170,15 @@ def main() -> int:
                         help="Fig. 5 traffic scenario (default p2v)")
     parser.add_argument("--shape", default="fig5",
                         choices=["fig5", "latency", "noisy-neighbor",
-                                 "policy-injection"],
+                                 "policy-injection", "fault-isolation"],
                         help="offered load: 4 x 200 kpps (fig5, the "
                              "default), 4 x 2.5 kpps (latency, the "
                              "Fig. 5 latency load), one 2 Mpps flow and "
-                             "three 10 kpps victims (noisy-neighbor), or "
+                             "three 10 kpps victims (noisy-neighbor), "
                              "40 kpps of randomized source ports and "
-                             "three 10 kpps victims (policy-injection)")
+                             "three 10 kpps victims (policy-injection), "
+                             "or 4 x 5 kpps with compartment 0 down for "
+                             "the middle third (fault-isolation)")
     parser.add_argument("--duration", type=float, default=0.05,
                         help="simulated seconds of traffic (default 0.05)")
     parser.add_argument("--top", type=int, default=20,
@@ -197,7 +221,9 @@ def main() -> int:
             if func[0] == "~" and func[2].endswith(f"_heapq.{name}>"):
                 heap[name] += entry[1]
     sent = max(1, counts["sent"])
-    print(f"{counts['label']}: sent={counts['sent']} "
+    print(f"{counts['label']}: path={counts['path']} "
+          f"(oracle reason: {counts['reason'] or 'none'}) "
+          f"sent={counts['sent']} "
           f"delivered={counts['delivered']} calls={stats.total_calls} "
           f"kernel events={counts['events']} station wakes={wakes} "
           f"sub-batch flushes per sent frame={flushes / sent:.3f}")
