@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test goldens perfbench-test perfbench-goldens bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
+.PHONY: test goldens perfbench-test perfbench-goldens bench bench-update bench-micro profile profile-smoke sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -72,6 +72,13 @@ profile:
 	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.06
 	$(PYTHON) tool/profile.py --level l1 --shape policy-injection --duration 0.06
 	$(PYTHON) tool/profile.py --level l2 --shape fault-isolation --duration 0.12
+
+# Short runs of the profile tool (the L1 noisy-neighbor overload and the
+# per-frame oracle), so a change that breaks tool/profile.py fails here
+# rather than at the next `make profile`.
+profile-smoke:
+	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.01 --top 5
+	$(PYTHON) tool/profile.py --oracle --duration 0.01 --top 5
 
 # Just the sweep/backends benchmarks: records the warm-pool speedup
 # factor into BENCH_fastpath.json and gates on it (>= 1.5x required

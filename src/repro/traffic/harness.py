@@ -174,15 +174,19 @@ class TestbedHarness:
 
     def run(self, duration: float, warmup: float = 0.0,
             cooldown: float = 0.05) -> HarnessResult:
-        """Send for ``duration`` seconds; measure the window after
-        ``warmup``.  ``cooldown`` lets in-flight frames land."""
+        """Send for ``duration`` seconds from now; measure the window
+        after ``warmup``.  ``cooldown`` lets in-flight frames land.  The
+        result counts this run's frames alone, also on a harness that
+        ran before."""
         if not 0.0 <= warmup < duration:
             raise ValueError(
                 f"need 0 <= warmup < duration, got warmup={warmup} and "
                 f"duration={duration}")
         offered = self.lg.aggregate_rate_pps
         self.deployment.set_offered_rate_hint(offered)
-        end = self.sim.now + duration + cooldown
+        start = self.sim.now
+        sent, delivered = self.lg.sent, self.sink.total
+        end = start + duration + cooldown
         # The running scenario's fault plan attaches here, so any
         # harness-based workload is chaos-capable without changes.
         # Arming it marks the deployment, so it comes before the path.
@@ -227,13 +231,13 @@ class TestbedHarness:
         # has sent by now; what it has not stays held.
         if reason is None:
             self.egress_link.settle(end)
-        t0, t1 = warmup, duration
-        delivered = self.monitor.delivered_in_window(t0, t1)
+        t0, t1 = start + warmup, start + duration
         result = HarnessResult(
             offered_pps=offered,
-            delivered_pps=delivered / (t1 - t0),
-            sent=self.lg.sent,
-            delivered=self.sink.total,
+            delivered_pps=(self.monitor.delivered_in_window(t0, t1)
+                           / (t1 - t0)),
+            sent=self.lg.sent - sent,
+            delivered=self.sink.total - delivered,
             latencies=self.monitor.latencies_in_window(t0, t1),
             window=(t0, t1),
             oracle_reason=reason,

@@ -140,6 +140,29 @@ class TestHarness:
         assert result.offered_pps == 4000
         assert len(result.latencies) > 0
 
+    def test_second_run_measures_its_own_window(self):
+        """A run on a harness that ran before starts at ``sim.now``: its
+        window, counts and latencies are its own."""
+        d = build_deployment(make_spec(level=SecurityLevel.LEVEL_2, vms=2),
+                             TrafficScenario.P2V)
+        h = TestbedHarness(d)
+        h.configure_tenant_flows(rate_per_flow_pps=2500)
+        first = h.run(duration=0.05, warmup=0.01)
+        start = d.sim.now
+        second = h.run(duration=0.05, warmup=0.01)
+        assert start == pytest.approx(0.1)
+        assert first.window == (0.01, 0.05)
+        assert second.window == (start + 0.01, start + 0.05)
+        assert first.sent + second.sent == h.lg.sent
+        assert first.delivered + second.delivered == h.sink.total
+        assert 499 <= second.sent <= 501
+        assert second.delivered == second.sent
+        assert second.delivered_pps == pytest.approx(10_000, rel=0.01)
+        assert len(second.latencies) == pytest.approx(400, abs=2)
+        assert second.latencies == h.monitor.latencies_in_window(
+            *second.window)
+        assert second.latencies != first.latencies
+
     def test_flow_subset(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2V)

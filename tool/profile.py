@@ -11,9 +11,11 @@ passes (``OvsBridge._dispatch`` calls) per sent frame, heap operations
 generator), microflow-cache lookups and misses per sent frame, and
 jitter draws per sent frame, split into a batch's draws in lanes, a
 small batch's draws made key by key (both ``HashJitter.units``) and
-per-member scalar ``unit()`` draws, then the top functions by
-cumulative time -- the lens that found and then
-verified the batched-fastpath wins recorded in EXPERIMENTS.md.
+per-member scalar ``unit()`` draws, the garbage collector's
+collections per generation during the run and the bytes the latency
+monitor holds per sent frame, then the top functions by cumulative
+time -- the lens that found and then verified the batched-fastpath
+wins recorded in EXPERIMENTS.md.
 ``--shape latency`` offers the Fig. 5 latency load instead: four flows
 at 2.5 kpps each; ``--shape noisy-neighbor`` the noisy-neighbor
 experiment's: one 2 Mpps flow and three 10 kpps victims;
@@ -64,6 +66,7 @@ sys.modules.pop("profile", None)
 
 import argparse
 import cProfile
+import gc
 import pstats
 
 REPO_ROOT = os.path.dirname(_TOOL_DIR)
@@ -93,6 +96,38 @@ def count_batch_draws() -> dict:
     HashJitter.units = counted_units
     HashJitter._lanes = staticmethod(counted_lanes)
     return drawn
+
+
+def held_bytes(root: object) -> int:
+    """``sys.getsizeof`` summed over ``root`` and every object it
+    reaches through containers, instance dicts and slots (classes
+    excluded), each object once."""
+    seen = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return total
+
+
+def collections_made() -> list:
+    """Collections so far, per generation."""
+    return [gen["collections"] for gen in gc.get_stats()]
 
 
 def run_fig5(duration: float, batch: bool, level: str = "l2",
@@ -149,6 +184,7 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
     caches = [bridge.cache.stats for bridge in deployment.bridges
               if bridge.cache is not None]
     return {"sent": result.sent, "delivered": result.delivered,
+            "monitor": harness.monitor,
             "events": deployment.sim.events_fired - events,
             "lookups": sum(stats.lookups for stats in caches),
             "misses": sum(stats.misses for stats in caches),
@@ -196,11 +232,14 @@ def main() -> int:
           f"{label}, duration={args.duration}s ...")
     drawn = count_batch_draws()
     profiler = cProfile.Profile()
+    collected = collections_made()
     profiler.enable()
     counts = run_fig5(args.duration, batch=not args.oracle,
                       level=args.level, traffic=args.traffic,
                       shape=args.shape)
     profiler.disable()
+    collected = [after - before for before, after
+                 in zip(collected, collections_made())]
     stats = pstats.Stats(profiler, stream=sys.stdout)
 
     def calls_of(name: str, module: str) -> int:
@@ -242,7 +281,10 @@ def main() -> int:
           f"{(drawn['batch'] + scalar_draws) / sent:.3f} "
           f"(lanes {lanes / sent:.3f} = {lanes}, small batches "
           f"{small / sent:.3f} = {small}, scalar unit() "
-          f"{scalar_draws / sent:.3f} = {scalar_draws})\n")
+          f"{scalar_draws / sent:.3f} = {scalar_draws})")
+    print(f"gc collections gen0/gen1/gen2={'/'.join(map(str, collected))} "
+          f"monitor bytes held per sent frame="
+          f"{held_bytes(counts['monitor']) / sent:.1f}\n")
 
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
