@@ -60,9 +60,10 @@ bench-micro:
 # fast path and the per-frame oracle, then the batched Baseline p2v and
 # L2(2) v2v shapes, the L2(2) p2v Fig. 5 latency load (4 x 2.5 kpps),
 # then the L1 noisy-neighbor overload, the L1 policy-injection
-# (cache-busting) shape and the L2(2) fault-isolation shape (4 x 5 kpps,
-# compartment 0 down for the middle third; the before/after tables in
-# EXPERIMENTS.md come from exactly these commands).
+# (cache-busting) shape, the L2(2) fault-isolation shape (4 x 5 kpps,
+# compartment 0 down for the middle third) and the L2(2) latency
+# breakdown (4 x 2.5 kpps under the attribution tap; the before/after
+# tables in EXPERIMENTS.md come from exactly these commands).
 profile:
 	$(PYTHON) tool/profile.py
 	$(PYTHON) tool/profile.py --oracle
@@ -72,13 +73,16 @@ profile:
 	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.06
 	$(PYTHON) tool/profile.py --level l1 --shape policy-injection --duration 0.06
 	$(PYTHON) tool/profile.py --level l2 --shape fault-isolation --duration 0.12
+	$(PYTHON) tool/profile.py --level l2 --shape latency-breakdown --duration 0.06
 
-# Short runs of the profile tool (the L1 noisy-neighbor overload and the
-# per-frame oracle), so a change that breaks tool/profile.py fails here
-# rather than at the next `make profile`.
+# Short runs of the profile tool (the L1 noisy-neighbor overload, the
+# per-frame oracle and the latency breakdown under the attribution tap),
+# so a change that breaks tool/profile.py fails here rather than at the
+# next `make profile`.
 profile-smoke:
 	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.01 --top 5
 	$(PYTHON) tool/profile.py --oracle --duration 0.01 --top 5
+	$(PYTHON) tool/profile.py --shape latency-breakdown --duration 0.01 --top 5
 
 # Just the sweep/backends benchmarks: records the warm-pool speedup
 # factor into BENCH_fastpath.json and gates on it (>= 1.5x required

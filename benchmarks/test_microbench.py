@@ -289,6 +289,34 @@ def test_e2e_batched_packet_rate(benchmark):
 
 
 @pytest.mark.benchmark(group="e2e")
+def test_e2e_attributed_packet_rate(benchmark):
+    """test_e2e_batched_packet_rate's run under the latency-attribution
+    tap, its means read -- the tap's cost on the batched chain.
+    tool/bench.py divides this benchmark's min by the batched one's for
+    the attribution overhead factor (gated <= 1.3x)."""
+    from repro import obs
+    from repro.core import SecurityLevel, TrafficScenario, build_deployment
+    from repro.core.spec import DeploymentSpec
+    from repro.traffic import TestbedHarness
+
+    def run():
+        spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
+                              num_vswitch_vms=2)
+        d = build_deployment(spec, TrafficScenario.P2V)
+        h = TestbedHarness(d)
+        h.configure_tenant_flows(rate_per_flow_pps=200_000)
+        with obs.attributing(h.egress_link.name) as tap:
+            result = h.run(duration=0.01)
+        assert result.oracle_reason is None
+        assert tap.means()["tenant"] > 0
+        return result.sent, result.delivered, tap.captured
+
+    sent, delivered, captured = benchmark(run)
+    assert sent == 8001
+    assert captured >= delivered > 0
+
+
+@pytest.mark.benchmark(group="e2e")
 def test_e2e_metered_packet_rate(benchmark):
     """The same Fig. 5 e2e run with per-tenant METERING armed -- the
     billing tap + windowing cost.  tool/bench.py divides this

@@ -159,7 +159,8 @@ class Deployment:
         in-flight tenant migration or removal (``"lifecycle"``: a
         batch straddling the instant would deliver or drop as a unit
         where the oracle splits it), and the packet tracer
-        (``"tracer"``, whose per-hop spans exist only per frame).
+        (``"tracer"``, whose per-hop spans exist only per frame; the
+        latency-attribution tap holds no mark).
         Balanced by :meth:`release_oracle`.
         """
         self.oracle_holds[reason] = self.oracle_holds.get(reason, 0) + 1

@@ -5,11 +5,15 @@ in this paper using SR-IOV, further measurements are necessary, e.g.,
 using the performance monitoring unit (PMU) to collect a breakdown of
 the packet processing latencies."
 
-The simulated dataplane reports every nanosecond of a frame's journey
-through a packet-tracer span (:mod:`repro.obs.trace`); this experiment
-runs under the tracer, folds the spans of the frames the egress tap
-saw into per-component sums, and answers the paper's open question
-directly: where does each architecture spend its latency?
+Every timed hop of the simulated dataplane charges the delay it adds to
+a frame to that frame's row in the latency-attribution tap
+(:mod:`repro.obs.attribution`), on the batched chain and on the
+per-frame oracle alike.  This experiment runs under the tap, which
+captures the rows of the frames leaving through the egress link after
+the warmup and averages them per component, and answers the paper's
+open question directly: where does each architecture spend its
+latency?  The runs take the batched chain; the means equal the
+oracle's bit for bit.
 
 The expected story, quantified: the Baseline's p2v latency lives in
 the vhost crossings and the tenant's Linux bridge; MTS replaces both
@@ -26,56 +30,15 @@ from repro.core.deployment import build_deployment
 from repro.core.spec import DeploymentSpec, TrafficScenario
 from repro.experiments.common import EvalMode, configs_for_mode
 from repro.measure.reporting import Series, Table
-from repro.obs.trace import PacketTracer
+from repro.obs.attribution import COMPONENTS
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.scenario.spec import ScenarioResult, ScenarioSpec
 from repro.traffic.harness import TestbedHarness
 from repro.units import KPPS, USEC
 
-COMPONENTS = ("wire", "nic", "vswitch.service", "vswitch.wait",
-              "vswitch.queue", "vhost", "tenant")
-
 WORKLOAD = "ext.latency-breakdown"
 
 DEFAULT_AGGREGATE_PPS = 10 * KPPS
-
-#: Breakdown component of each timed hop kind's ``attrs["delay"]``.
-HOP_COMPONENTS = {"nic.in": "nic", "nic.out": "nic",
-                  "vhost.crossing": "vhost", "tenant.forward": "tenant"}
-
-
-def fold_components(tracer: PacketTracer, egress_link: str,
-                    since: float) -> List[Dict[str, float]]:
-    """Per-component delay sums of the frames whose ``egress_link``
-    transmit starts at or after ``since``, in the link's (the egress
-    tap's) order.  One pass over the spans: each adds the exact delay
-    its hop added, in the order the frame met the hops.  Wire time on
-    a link runs from the hand-off (an enqueue span's start) to arrival.
-    """
-    sums: Dict[int, Dict[str, float]] = {}
-    handed_off: Dict[int, float] = {}
-    captured: List[Dict[str, float]] = []
-    for span in tracer.iter_spans():
-        kind, fid, attrs = span.kind, span.trace_id, span.attrs
-        if kind == "link.enqueue":
-            handed_off[fid] = span.start
-            continue
-        if kind == "link.tx":
-            parts = {"wire": span.end - handed_off.pop(fid, span.start)}
-        elif kind == "vswitch.tx" and "service" in attrs:
-            parts = {f"vswitch.{part}": attrs[part]
-                     for part in ("service", "wait", "queue")}
-        elif kind in HOP_COMPONENTS:
-            parts = {HOP_COMPONENTS[kind]: attrs["delay"]}
-        else:
-            continue
-        frame = sums.setdefault(fid, {})
-        for component, seconds in parts.items():
-            frame[component] = frame.get(component, 0.0) + seconds
-        if kind == "link.tx" and span.component == egress_link \
-                and span.start >= since:
-            captured.append(frame)
-    return captured
 
 
 def measure_scenario(spec: ScenarioSpec,
@@ -90,23 +53,12 @@ def measure_scenario(spec: ScenarioSpec,
     harness.configure_tenant_flows(
         rate_per_flow_pps=aggregate_pps / spec.deployment.num_tenants)
 
-    with obs.tracing(deployment.sim) as tracer:
+    with obs.attributing(harness.egress_link.name,
+                         since=spec.warmup) as tap:
         harness.run(duration=spec.duration, warmup=spec.warmup)
-    if tracer.spans_dropped:
-        raise RuntimeError(
-            f"tracer dropped {tracer.spans_dropped} spans for "
-            f"{spec.display_label}: its breakdown would be partial")
-    captured = fold_components(tracer, harness.egress_link.name,
-                               spec.warmup)
-    if not captured:
+    if not tap.captured:
         raise RuntimeError(f"no frames captured for {spec.display_label}")
-
-    totals = {component: 0.0 for component in COMPONENTS}
-    for frame in captured:
-        for component in COMPONENTS:
-            totals[component] += frame.get(component, 0.0)
-    return {component: total / len(captured)
-            for component, total in totals.items()}
+    return tap.means()
 
 
 def measure_breakdown(

@@ -64,20 +64,24 @@ class VhostPath:
         self.crossings += 1
         _obs.TRACER.hop(self.name, frame, "vhost.crossing", "h2g",
                         self.costs.latency)
+        _obs.TAP.hop("vhost", frame.frame_id, self.costs.latency)
         self.sim.call_later(self.costs.latency, self.guest_side.rx.receive, frame)
 
     def _to_host(self, frame: Frame) -> None:
         self.crossings += 1
         _obs.TRACER.hop(self.name, frame, "vhost.crossing", "g2h",
                         self.costs.latency)
+        _obs.TAP.hop("vhost", frame.frame_id, self.costs.latency)
         self.sim.call_later(self.costs.latency, self.host_side.rx.receive, frame)
 
     def _to_guest_batch(self, batch: FrameBatch) -> None:
         self.crossings += len(batch)
+        _obs.TAP.hop_batch("vhost", batch, self.costs.latency)
         batch.advance(self.costs.latency)
         self.guest_side.rx.receive_batch(batch, self.sim)
 
     def _to_host_batch(self, batch: FrameBatch) -> None:
         self.crossings += len(batch)
+        _obs.TAP.hop_batch("vhost", batch, self.costs.latency)
         batch.advance(self.costs.latency)
         self.host_side.rx.receive_batch(batch, self.sim)

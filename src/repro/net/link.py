@@ -149,6 +149,7 @@ class Link:
         self.tx_bytes += frame.wire_size()
         self.sim.schedule(arrival, self.dst.receive, frame)
         _obs.TRACER.link_send(self.name, frame, t, start, tx_done, arrival)
+        _obs.TAP.link(self.name, frame.frame_id, t, start, arrival)
         return arrival
 
     def hold(self, watermark: Optional[Callable[[], float]]) -> None:
@@ -205,6 +206,7 @@ class Link:
         stop = self.sim.stop_time
         for batch, first, starts, arrivals, _ in \
                 self._chain(self._held, upto).values():
+            _obs.TAP.link_run(self.name, batch, first, starts, arrivals)
             if first == 0 and len(arrivals) == len(batch):
                 run = batch
                 run.ts = arrivals
@@ -305,6 +307,7 @@ class Link:
             out = sent.get(b)
             if out is None:
                 continue
+            _obs.TAP.link_run(self.name, batch, 0, out[2], out[3])
             batch.ts = out[3]
             if self.tap is not None:
                 self.tap._notify_batch(batch, out[2])

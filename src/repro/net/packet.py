@@ -7,8 +7,9 @@ down.  A frame knows its on-wire size and carries measurement metadata
 (creation timestamp, flow id, tenant id).  It keeps no record of its
 own journey: the packet tracer (:mod:`repro.obs.trace`) records one
 span per hop, keyed by ``frame_id``, and that is what tests read to
-assert the exact ingress/egress chains of Fig. 3 and what the latency
-breakdown folds.
+assert the exact ingress/egress chains of Fig. 3; the latency breakdown
+reads the attribution tap (:mod:`repro.obs.attribution`), whose rows
+are keyed by ``frame_id`` too.
 """
 
 from __future__ import annotations

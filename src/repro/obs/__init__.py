@@ -1,18 +1,22 @@
-"""Unified telemetry: sim-time metrics registry + per-hop packet tracing.
+"""Unified telemetry: sim-time metrics registry, per-hop packet tracing
+and per-component latency attribution.
 
-The observability layer has four moving parts:
+The observability layer has five moving parts:
 
 - :mod:`repro.obs.metrics` -- named counters/gauges/histograms with
   labels, recorded against *simulated* time;
 - :mod:`repro.obs.trace` -- the packet tracer: one span per hop through
   the mediation chain, reconstructable into per-packet journeys;
+- :mod:`repro.obs.attribution` -- the latency-attribution tap: one
+  typed column per latency component, indexed by frame id, fed by the
+  per-frame and the batched data plane alike;
 - :mod:`repro.obs.journal` -- the event journal: one flat
   ``{"t", "layer", "kind", ...}`` record per fault or lifecycle
   transition, and its JSON-lines exporter;
 - :mod:`repro.obs.export` -- JSON-lines span dumps, Prometheus text
   snapshots, and paper-style summary tables.
 
-Two module-level globals are the integration surface the dataplane
+Three module-level globals are the integration surface the dataplane
 uses:
 
 ``TRACER``
@@ -21,7 +25,15 @@ uses:
     and an empty call when tracing is off.  Hot paths call it as
     ``_obs.TRACER.hook(...)`` -- always through the module attribute,
     never a cached local, so :func:`enable_tracing` takes effect
-    everywhere at once.
+    everywhere at once.  Its spans exist only on the per-frame path: a
+    recording tracer holds the "tracer" oracle mark on every live
+    deployment, and it is the only thing that holds that mark.
+
+``TAP``
+    The active latency-attribution tap, a :class:`NullTap` unless an
+    :func:`attributing` block runs.  The per-frame hook sites feed it
+    next to the tracer, and the batched chain's hops feed it through
+    batch twins, so it holds no oracle mark.
 
 ``REGISTRY``
     The process-wide :class:`MetricsRegistry`.  Control-plane events
@@ -52,11 +64,15 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.attribution import COMPONENTS, LatencyTap, NullTap
 from repro.obs.trace import NullTracer, PacketTracer, Span, journeys_from_jsonl
 from repro.obs import integrate as _integrate
 
 #: The active tracer; swapped by enable_tracing()/disable_tracing().
 TRACER = NullTracer()
+
+#: The active latency-attribution tap; swapped by attributing().
+TAP = NullTap()
 
 #: The process-wide metrics registry.
 REGISTRY = MetricsRegistry()
@@ -110,6 +126,31 @@ def tracing(sim=None, capacity: int = 1_000_000) -> Iterator[PacketTracer]:
         TRACER = previous
 
 
+@contextmanager
+def attributing(egress_link: str, since: float = 0.0
+                ) -> Iterator[LatencyTap]:
+    """Attribute latency into a fresh :class:`LatencyTap` for the
+    ``with`` block: it captures the frames whose transmit on the link
+    named ``egress_link`` starts at or after ``since``.
+
+    The block's frames reach the tap alone.  Span recording is
+    suspended for it, as :func:`tracing` keeps its spans from an outer
+    tracer, and the tracer active before comes back after it.  A
+    deployment that a tracer marked keeps its mark, so its runs still
+    take the oracle; the tap reads the same values there."""
+    global TAP, TRACER
+    previous_tap, previous_tracer = TAP, TRACER
+    TRACER = NullTracer()
+    TAP = tap = LatencyTap(egress_link, since)
+    try:
+        yield tap
+    finally:
+        TAP = previous_tap
+        if TRACER.enabled:
+            disable_tracing()  # enabled inside the block: its marks go
+        TRACER = previous_tracer
+
+
 def tracing_enabled() -> bool:
     return TRACER.enabled
 
@@ -151,17 +192,22 @@ cache_efficacy_line = _integrate.cache_efficacy_line
 deployment_metrics = _integrate.deployment_metrics
 
 __all__ = [
+    "COMPONENTS",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
+    "LatencyTap",
     "MetricsRegistry",
+    "NullTap",
     "NullTracer",
     "PacketTracer",
     "Span",
     "journeys_from_jsonl",
     "TRACER",
+    "TAP",
     "REGISTRY",
+    "attributing",
     "enable_tracing",
     "tracing",
     "disable_tracing",

@@ -225,12 +225,14 @@ class NicPort:
                                              tenant=frame.tenant_id)
                  + VEB_LATENCY)
         _obs.TRACER.hop(self._label, frame, "nic.in", vf.name, delay)
+        _obs.TAP.hop("nic", frame.frame_id, delay)
         self.nic.sim.call_later(delay, self._switch, vf.name, domain, frame)
 
     def _receive_from_fabric(self, frame: Frame) -> None:
         """Frame arrived from the wire."""
         domain = frame.vlan if frame.vlan is not None else UNTAGGED
         _obs.TRACER.hop(self._label, frame, "nic.in", "fabric", VEB_LATENCY)
+        _obs.TAP.hop("nic", frame.frame_id, VEB_LATENCY)
         self.nic.sim.call_later(VEB_LATENCY, self._switch, UPLINK, domain, frame)
 
     def _switch(self, ingress: str, domain: int, frame: Frame) -> None:
@@ -273,6 +275,7 @@ class NicPort:
         delay = self.nic.pcie.transfer_time(frame.wire_size(),
                                             tenant=frame.tenant_id)
         _obs.TRACER.hop(self._label, frame, "nic.out", func.name, delay)
+        _obs.TAP.hop("nic", frame.frame_id, delay)
         self.nic.sim.call_later(delay, func.port.rx.receive, frame)
 
     # -- batched dataplane -------------------------------------------------
@@ -283,7 +286,8 @@ class NicPort:
     # advanced analytically.  No events are scheduled -- the batch flows
     # inline to the next timestamped admission point (bridge rx ring) or
     # to the fabric link.  Runs only with tracing off: per-hop spans
-    # exist only on the per-frame oracle path.
+    # exist only on the per-frame oracle path.  The latency-attribution
+    # tap gets each hop's delay once per batch.
 
     def _receive_from_vf_batch(self, vf: VirtualFunction,
                                batch: FrameBatch) -> None:
@@ -321,12 +325,14 @@ class NicPort:
         domain = self.veb.domain_of(vf)
         delay = (self.nic.pcie.transfer_time_batch(wire, frame.tenant_id, n)
                  + VEB_LATENCY)
+        _obs.TAP.hop_batch("nic", batch, delay)
         batch.advance(delay)
         self._switch_batch(vf.name, domain, batch)
 
     def _receive_from_fabric_batch(self, batch: FrameBatch) -> None:
         frame = batch.frame
         domain = frame.vlan if frame.vlan is not None else UNTAGGED
+        _obs.TAP.hop_batch("nic", batch, VEB_LATENCY)
         batch.advance(VEB_LATENCY)
         self._switch_batch(UPLINK, domain, batch)
 
@@ -376,8 +382,9 @@ class NicPort:
         wire = frame.wire_size()
         func.stats.rx_frames += n
         func.stats.rx_bytes += wire * n
-        batch.advance(
-            self.nic.pcie.transfer_time_batch(wire, frame.tenant_id, n))
+        delay = self.nic.pcie.transfer_time_batch(wire, frame.tenant_id, n)
+        _obs.TAP.hop_batch("nic", batch, delay)
+        batch.advance(delay)
         func.port.rx.receive_batch(batch, self.nic.sim)
 
 

@@ -16,9 +16,11 @@ could not reproduce it:
 - ``"batch=False"``: the caller asked for the oracle (tests);
 - ``"tracer"``, ``"chaos"``, ``"lifecycle"``: the deployment holds an
   oracle mark (:meth:`~repro.core.deployment.Deployment.hold_oracle`)
-  -- a packet tracer, an armed chaos session with a link, VF or loss
-  fault (vswitch crashes run batched: each instant is a catch-up
-  point), or a pending tenant migration or removal;
+  -- a recording packet tracer (the span tracer alone: the
+  latency-attribution tap of :func:`repro.obs.attributing` holds no
+  mark, since both paths feed it), an armed chaos session with a link,
+  VF or loss fault (vswitch crashes run batched: each instant is a
+  catch-up point), or a pending tenant migration or removal;
 - ``"unpaired tap observer"``: a tap observer without a batch twin,
   which expects frames in wire order.  A batched link notifies its tap
   one run per batch per settle, so across interleaved batches the

@@ -131,10 +131,40 @@ class LatencyMonitor:
         return _in_capture_order(parts)
 
     def _on_ingress(self, frame: Frame, now: float) -> None:
-        self._enter([frame.frame_id], [now])
+        """One frame entered the wire at ``now`` (the scalar twin of
+        :meth:`_enter`)."""
+        fid = frame.frame_id
+        base = self._base
+        if base is None or fid < base:
+            self._rebase(fid)
+            base = fid
+        entered = self._entered
+        try:
+            entered[fid - base] = now
+        except IndexError:
+            entered.extend(_absent(max(fid - base + 1 - len(entered), 4096,
+                                       len(entered) >> 3)))
+            entered[fid - base] = now
 
     def _on_egress(self, frame: Frame, now: float) -> None:
-        self._leave(frame.flow_id, [frame.frame_id], [now])
+        """One frame was captured leaving at ``now`` (the scalar twin of
+        :meth:`_leave`)."""
+        flow = self._flows.get(frame.flow_id)
+        if flow is None:
+            flow = self._flows[frame.flow_id] = (array("d"), array("d"))
+        flow[0].append(now)
+        base = self._base
+        if base is not None:
+            i = frame.frame_id - base
+            entered = self._entered
+            if 0 <= i < len(entered):
+                t_in = entered[i]
+                if t_in > _ABSENT:
+                    entered[i] = _ABSENT
+                    flow[1].append(t_in)
+                    return
+        flow[1].append(_UNPAIRED)
+        self.unmatched_egress += 1
 
     def _on_ingress_batch(self, batch: FrameBatch, starts: List[float]) -> None:
         if starts:
@@ -148,15 +178,18 @@ class LatencyMonitor:
         base = self._base
         return ids if base == 0 else [fid - base for fid in ids]
 
+    def _rebase(self, low: int) -> None:
+        """Start the entry column at frame id ``low``: the first id
+        seen, or a lower id than any so far."""
+        if self._base is not None:
+            self._entered[0:0] = _absent(self._base - low)
+        self._base = low
+
     def _enter(self, ids: List[int], starts: List[float]) -> None:
         """Frames ``ids`` entered the wire at ``starts``."""
         low = min(ids)
-        if self._base is None:
-            self._base = low
-        elif low < self._base:
-            # A lower id than any so far: the column starts there now.
-            self._entered[0:0] = _absent(self._base - low)
-            self._base = low
+        if self._base is None or low < self._base:
+            self._rebase(low)
         offsets = self._offsets(ids)
         entered = self._entered
         try:

@@ -95,6 +95,7 @@ class L2Fwd:
         delay += self.drain_interval * self._drain_unit(frame.frame_id)
         _obs.TRACER.hop(self.name, frame, "tenant.forward", "forwarded",
                         delay)
+        _obs.TAP.hop("tenant", frame.frame_id, delay)
         if self.sim is not None:
             self.sim.call_later(delay, self._forward, route, frame)
         else:
@@ -120,7 +121,9 @@ class L2Fwd:
         drain = self.drain_interval
         units = self._jitter.units(batch.frame_ids,
                                    (HashJitter.SITE_L2FWD_DRAIN,))
-        batch.advance_per_member([base + drain * u for u in units])
+        delays = [base + drain * u for u in units]
+        _obs.TAP.hop_members("tenant", batch, delays)
+        batch.advance_per_member(delays)
         frame = batch.frame
         frame.dst_mac = route.new_dst_mac
         if route.new_src_mac is not None:

@@ -92,6 +92,7 @@ class LinuxBridge:
         delay = self.delay
         _obs.TRACER.hop(self.name, frame, "tenant.forward", "forwarded",
                         delay)
+        _obs.TAP.hop("tenant", frame.frame_id, delay)
         if self.sim is not None:
             self.sim.call_later(delay, self._forward, in_index, frame)
         else:
@@ -133,5 +134,6 @@ class LinuxBridge:
         if flooded:
             self.flooded += n
         self.forwarded += n
+        _obs.TAP.hop_batch("tenant", batch, self.delay)
         batch.advance(self.delay)
         self._ports[outs[0]].transmit_batch(batch, self.sim)

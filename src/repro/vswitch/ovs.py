@@ -196,16 +196,19 @@ class _FusedSink:
     At an armed bridge the sink keeps its members' arrival times and a
     :class:`_Ledger`: a member that arrives while the bridge is down
     vanishes at admission (:meth:`dead`), and the accounting traversal
-    counts nothing.
+    counts nothing.  A sink made while the latency-attribution tap
+    records (:data:`repro.obs.TAP`) keeps its members' arrivals and
+    pass waits too, which the tap reads at each flush; the burst's
+    accounting traversal charges the tap the route's legs, hop by hop.
     """
 
     margin = _INF
 
     __slots__ = ("route", "bridge", "key", "out_ports", "svc", "batch",
-                 "sink", "lookahead", "lookups", "ledger", "_service",
-                 "_wait", "_ids", "_created", "_ports", "_src_port",
-                 "_arrivals", "_done_idx", "_done_ts", "_submitted",
-                 "_resolved", "_sealed")
+                 "sink", "lookahead", "lookups", "ledger", "arrivals",
+                 "waits", "_service", "_wait", "_ids", "_created",
+                 "_ports", "_src_port", "_done_idx", "_done_ts",
+                 "_submitted", "_resolved", "_sealed")
 
     def __init__(self, route: _FusedRoute, src_port: Optional[int]) -> None:
         """``src_port``: the members' shared L4 source port, or None when
@@ -231,13 +234,18 @@ class _FusedSink:
         self._src_port = src_port
         bridge = self.bridge
         self.ledger: Optional[_Ledger] = None
-        self._arrivals: Optional[List[float]] = None
+        #: Member arrivals at the route's bridge and pass waits, kept
+        #: where an armed bridge or the tap reads them.
+        self.arrivals: Optional[List[float]] = None
+        self.waits: Optional[List[float]] = None
+        if bridge.fault_armed or _obs.TAP.enabled:
+            self.arrivals = []
+            self.waits = []
         gate = None
         if bridge.fault_armed:
-            self._arrivals = []
             self.ledger = _Ledger(bridge._ports[route.in_port_no],
                                   route.template, route.header,
-                                  self._arrivals, True)
+                                  self.arrivals, True)
             bridge._ledgers.append(self.ledger)
             gate = self.dead
         cache = bridge.cache
@@ -271,8 +279,10 @@ class _FusedSink:
         self._submitted = j + 1
         self._ids.append(frame_id)
         self._created.append(created_at)
-        if self._arrivals is not None:
-            self._arrivals.append(arrival)
+        wait = self._wait(frame_id)
+        if self.arrivals is not None:
+            self.arrivals.append(arrival)
+            self.waits.append(wait)
         lookups = self.lookups
         if self._ports is not None:
             self._ports.append(src_port)
@@ -286,8 +296,7 @@ class _FusedSink:
                 lookups.ts.append(arrival)  # a known hit: count it later
             self.svc.append(self._service)
         # The pass wait is one sum, as in OvsBridge._dispatch.
-        route.station.submit_member(
-            self, j, arrival + self._wait(frame_id))
+        route.station.submit_member(self, j, arrival + wait)
 
     def attach_part(self, part: FrameBatch) -> None:
         """Bind the accounting traversal's exemplar header.
@@ -316,7 +325,7 @@ class _FusedSink:
     def dead(self, j: int) -> bool:
         """Whether member ``j`` arrived while the (armed) bridge was
         down."""
-        return self.bridge.dead_at(self._arrivals[j])
+        return self.bridge.dead_at(self.arrivals[j])
 
     def commit(self, j: int, t: float) -> bool:
         self._resolved += 1
@@ -384,16 +393,19 @@ class _BatchPassGroup:
 
     A member's first effect outside the station is its flush, or, on a
     fused route, its registration: the lookahead is the margin or the
-    route's.
+    route's.  ``arrivals`` (the batch's member times at dispatch) and
+    ``waits`` (their pass waits) are what the latency-attribution tap
+    reads at a flush.
     """
 
     __slots__ = ("bridge", "batch", "key", "sub_ts", "svc", "margin",
                  "lookahead", "out_ports", "rewrites", "lookups", "route",
-                 "sink", "_done_idx", "_done_ts", "_remaining")
+                 "sink", "arrivals", "waits", "_done_idx", "_done_ts",
+                 "_remaining")
 
     def __init__(self, bridge: "OvsBridge", batch: FrameBatch,
                  plan: "_ForwardPlan", sub_ts: List[float],
-                 svc: List[float], egress) -> None:
+                 svc: List[float], waits: List[float], egress) -> None:
         """``egress``: the plan's resolution, a margin (0 or ``inf``)
         or a fused route."""
         self.bridge = bridge
@@ -401,6 +413,8 @@ class _BatchPassGroup:
         self.key = plan.in_port
         self.sub_ts = sub_ts
         self.svc = svc
+        self.arrivals = batch.ts
+        self.waits = waits
         if type(egress) is _FusedRoute:
             self.route = egress
             self.margin = _INF
@@ -1090,6 +1104,9 @@ class OvsBridge:
             port.tx_frames += 1
             _obs.TRACER.bridge_tx(self.name, frame, port_no, plan.t_dispatch,
                                   plan.wait, plan.service)
+            if plan.t_dispatch is not None:
+                _obs.TAP.bridge(frame.frame_id, plan.t_dispatch,
+                                self.sim.now, plan.wait, plan.service)
             port.pair.transmit(frame)
 
     # -- batched dataplane -------------------------------------------------
@@ -1098,9 +1115,10 @@ class OvsBridge:
     # once per flow bucket (replaying the cached pass plan with xN
     # counter bumps), gets per-member jittered timing in one loop, and
     # registers with its core's BatchFairStation as a single group.
-    # Served members flow back out through _execute_batch as sub-batches.
-    # Runs only with tracing off: per-hop spans exist only on the
-    # per-frame path.
+    # Served members flow back out through _execute_batch as sub-batches,
+    # which also charge the latency-attribution tap their passes.  Runs
+    # only with tracing off: per-hop spans exist only on the per-frame
+    # path.
 
     def _ingress_batch(self, port: BridgePort, batch: FrameBatch) -> None:
         """Batched ingress: classify once per flow bucket.
@@ -1233,7 +1251,7 @@ class OvsBridge:
             key_shift_or=plan.in_port & 63)
         ts = batch.ts
         sub_ts = [ts[i] + waits[i] for i in range(len(ts))]
-        group = _BatchPassGroup(self, batch, plan, sub_ts, svc,
+        group = _BatchPassGroup(self, batch, plan, sub_ts, svc, waits,
                                 self._margin_fn(plan))
         cache = self.cache
         if cache is not None:
@@ -1252,7 +1270,8 @@ class OvsBridge:
         self._stations[index].submit_group(group)
 
     def _execute_batch(self, group: _BatchPassGroup) -> None:
-        """Flush a group's committed members downstream as a sub-batch."""
+        """Flush a group's committed members downstream as a sub-batch
+        (a pass group's or a fused sink's)."""
         batch = group.batch
         idx = group._done_idx
         n = len(idx)
@@ -1261,6 +1280,13 @@ class OvsBridge:
             svc = group.svc
             meter.cpu(batch.frame.tenant_id,
                       sum(svc[i] for i in idx), n)
+        tap = _obs.TAP
+        timing = None
+        if tap.enabled and group.waits is not None:
+            # Each member's arrival, pass wait, final service and finish.
+            timing = [list(map(times.__getitem__, idx)) for times
+                      in (group.arrivals, group.waits, group.svc)]
+            timing.append(group._done_ts)
         ports = batch.src_ports
         sub = FrameBatch(
             batch.frame.replica(),
@@ -1286,6 +1312,8 @@ class OvsBridge:
             else:
                 out = sub
             port.tx_frames += n
+            if timing is not None:
+                tap.bridge_batch(out.frame_ids, *timing)
             port.pair.transmit_batch(out, self.sim)
 
     # -- introspection -----------------------------------------------------

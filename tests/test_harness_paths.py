@@ -207,6 +207,35 @@ class TestPathSelection:
         assert twins == [2]
 
 
+class TestAttributionTap:
+    """The latency-attribution tap holds no oracle mark; the span tracer
+    keeps its own."""
+
+    def test_attributed_run_takes_the_batched_path(self):
+        h = TestbedHarness(l2_deployment())
+        h.configure_tenant_flows(rate_per_flow_pps=20_000)
+        with obs.attributing(h.egress_link.name) as tap:
+            result = h.run(duration=DURATION)
+        assert (result.path, result.oracle_reason) == ("batched", None)
+        assert h.lg.batch is True
+        assert tap.captured >= result.delivered > 0
+        assert not obs.TAP.enabled
+
+    def test_traced_run_still_takes_the_oracle(self):
+        h = TestbedHarness(l2_deployment())
+        h.configure_tenant_flows(rate_per_flow_pps=20_000)
+        tracer = obs.enable_tracing(h.deployment.sim)
+        try:
+            with obs.attributing(h.egress_link.name) as tap:
+                attributed = h.run(duration=DURATION)
+            traced = h.run(duration=DURATION)
+        finally:
+            obs.disable_tracing()
+        assert attributed.oracle_reason == traced.oracle_reason == "tracer"
+        assert tap.captured > 0
+        assert len(tracer) > 0  # the second run's spans
+
+
 class TestColdStart:
     @pytest.mark.parametrize("scenario,passes", [
         (TrafficScenario.P2V, 2), (TrafficScenario.V2V, 3)])

@@ -5,8 +5,12 @@ import pytest
 from repro import obs
 from repro.core import ResourceMode, SecurityLevel, TrafficScenario
 from repro.core.spec import DeploymentSpec
+from repro.experiments import latency_breakdown
 from repro.experiments.latency_breakdown import measure_breakdown
+from repro.scenario import ScenarioSpec
+from repro.traffic import TestbedHarness
 from repro.units import USEC
+from tests.test_obs import BREAKDOWN_TOPOLOGIES
 
 DURATION = 0.06
 _memo = {}
@@ -83,8 +87,11 @@ class TestTheSrIovStory:
 
 
 class TestRunsUnderTheTracer:
-    """The breakdown is a fold over packet-tracer spans, the simulator's
-    one per-frame record."""
+    """The breakdown reads the latency-attribution tap, which holds no
+    oracle mark.  A span tracer that was recording when the deployment
+    was built still marks it, so that run takes the oracle; the tap
+    reads the same values there, and the tracer sees none of the run's
+    spans."""
 
     def test_runs_traced_and_restores_an_outer_tracer(self, monkeypatch):
         reasons = []
@@ -106,11 +113,50 @@ class TestRunsUnderTheTracer:
         assert reasons == ["tracer"]
         assert parts["tenant"] > 0
 
-    def test_dropped_spans_fail_the_measurement(self, monkeypatch):
-        tracing = obs.tracing
-        monkeypatch.setattr(obs, "tracing",
-                            lambda sim: tracing(sim, capacity=100))
-        with pytest.raises(RuntimeError, match="dropped"):
-            measure_breakdown(DeploymentSpec(level=SecurityLevel.LEVEL_1),
-                              duration=0.03)
-        assert not obs.tracing_enabled()
+
+def _oracle_harness(deployment):
+    return TestbedHarness(deployment, batch=False)
+
+
+class TestBatchedEqualsOracle:
+    """The tap's means on the batched chain against the per-frame oracle,
+    compared with ``==``: every hop charges its own delay, in hop order,
+    and the captured rows fold in wire order on both paths."""
+
+    @staticmethod
+    def _measure(monkeypatch, spec, batch):
+        reasons = []
+        on_run_complete = obs.on_run_complete
+
+        def spy(harness, result):
+            reasons.append(result.oracle_reason)
+            on_run_complete(harness, result)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(obs, "on_run_complete", spy)
+            if not batch:
+                patch.setattr(latency_breakdown, "TestbedHarness",
+                              _oracle_harness)
+            means = latency_breakdown.measure_scenario(spec)
+        return means, reasons
+
+    def _check(self, monkeypatch, spec):
+        batched, reasons = self._measure(monkeypatch, spec, batch=True)
+        assert reasons == [None]
+        oracle, reasons = self._measure(monkeypatch, spec, batch=False)
+        assert reasons == ["batch=False"]
+        assert batched == oracle
+        assert batched["tenant"] > 0
+
+    @pytest.mark.parametrize("spec,scenario", BREAKDOWN_TOPOLOGIES)
+    def test_breakdown_topologies(self, monkeypatch, spec, scenario):
+        self._check(monkeypatch, ScenarioSpec(
+            workload=latency_breakdown.WORKLOAD, deployment=spec,
+            traffic=scenario, duration=0.02, warmup=0.005,
+            label=spec.label, params={"aggregate_pps": 10_000.0}))
+
+    @pytest.mark.parametrize(
+        "spec", latency_breakdown.scenarios(duration=0.06),
+        ids=lambda spec: spec.label)
+    def test_experiment_configurations(self, monkeypatch, spec):
+        self._check(monkeypatch, spec)

@@ -94,6 +94,12 @@ RATIO_GATES = (
               "fabric hybrid speedup over pure DES",
               slow="test_fabric_pure_des_8s32t",
               fast="test_fabric_hybrid_8s32t", at_least=5.0),
+    # The latency-attribution tap on the batched chain: ROADMAP item
+    # 6's bound for an enabled tracer on the batched path.
+    RatioGate("attribution_overhead_factor",
+              "attribution-tap e2e overhead on the batched chain",
+              slow="test_e2e_attributed_packet_rate",
+              fast="test_e2e_batched_packet_rate", at_most=1.3),
     # An armed MeteringSession over the plain run.
     RatioGate("metering_overhead_factor", "metering-enabled e2e overhead",
               slow="test_e2e_metered_packet_rate", fast=E2E_BENCH,

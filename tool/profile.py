@@ -23,8 +23,11 @@ experiment's: one 2 Mpps flow and three 10 kpps victims;
 of randomized-source-port traffic and three 10 kpps victims;
 ``--shape fault-isolation`` the fault-isolation experiment's: four
 tenants at 5 kpps, compartment 0 crashed a third of the way in and
-cleared at two thirds.  Each run prints the path it took (batched or
-oracle) and why it fell back to the oracle, if it did.
+cleared at two thirds; ``--shape latency-breakdown`` the latency
+breakdown's: four flows at 2.5 kpps each, run under the
+latency-attribution tap, whose row updates per sent frame it also
+prints.  Each run prints the path it took (batched or oracle) and why
+it fell back to the oracle, if it did.
 
 Usage::
 
@@ -40,6 +43,8 @@ Usage::
         --duration 0.06                 # the cache-busting shape
     python tool/profile.py --level l2 --shape fault-isolation \
         --duration 0.12                 # a crash and its clear
+    python tool/profile.py --shape latency-breakdown \
+        --duration 0.06                 # under the attribution tap
     python tool/profile.py --top 30     # more rows
     python tool/profile.py --duration 0.05
     python tool/profile.py --out prof.pstats   # also dump raw stats
@@ -47,8 +52,9 @@ Usage::
                                         # Baseline p2v, L2(2) v2v, the
                                         # L2 latency load, the L1
                                         # noisy-neighbor and
-                                        # policy-injection shapes and
-                                        # the L2 fault-isolation shape
+                                        # policy-injection shapes, the
+                                        # L2 fault-isolation shape and
+                                        # the L2 latency breakdown
 """
 
 from __future__ import annotations
@@ -132,10 +138,11 @@ def collections_made() -> list:
 
 def run_fig5(duration: float, batch: bool, level: str = "l2",
              traffic: str = "p2v", shape: str = "fig5") -> dict:
+    from repro import obs
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
-    from repro.experiments import (fig5_latency, noisy_neighbor,
-                                   policy_injection)
+    from repro.experiments import (fig5_latency, latency_breakdown,
+                                   noisy_neighbor, policy_injection)
     from repro.traffic import TestbedHarness
 
     # Shared cores: also the noisy-neighbor experiment's deployments.
@@ -163,6 +170,10 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
         harness.configure_tenant_flows(
             rate_per_flow_pps=fig5_latency.DEFAULT_AGGREGATE_PPS
             / spec.num_tenants)
+    elif shape == "latency-breakdown":
+        harness.configure_tenant_flows(
+            rate_per_flow_pps=latency_breakdown.DEFAULT_AGGREGATE_PPS
+            / spec.num_tenants)
     elif shape != "fault-isolation":
         harness.configure_tenant_flows(rate_per_flow_pps=200_000)
     session = None
@@ -178,7 +189,12 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
             compartment=0, at=duration / 3.0, duration=duration / 3.0))
         session.arm(duration)
     events = deployment.sim.events_fired
-    result = harness.run(duration=duration)
+    tap = None
+    if shape == "latency-breakdown":
+        with obs.attributing(harness.egress_link.name) as tap:
+            result = harness.run(duration=duration)
+    else:
+        result = harness.run(duration=duration)
     if session is not None:
         session.finish()
     caches = [bridge.cache.stats for bridge in deployment.bridges
@@ -189,7 +205,7 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
             "lookups": sum(stats.lookups for stats in caches),
             "misses": sum(stats.misses for stats in caches),
             "path": result.path, "reason": result.oracle_reason,
-            "label": f"{spec.label} {traffic} {shape}"}
+            "tap": tap, "label": f"{spec.label} {traffic} {shape}"}
 
 
 def main() -> int:
@@ -206,15 +222,18 @@ def main() -> int:
                         help="Fig. 5 traffic scenario (default p2v)")
     parser.add_argument("--shape", default="fig5",
                         choices=["fig5", "latency", "noisy-neighbor",
-                                 "policy-injection", "fault-isolation"],
+                                 "policy-injection", "fault-isolation",
+                                 "latency-breakdown"],
                         help="offered load: 4 x 200 kpps (fig5, the "
                              "default), 4 x 2.5 kpps (latency, the "
                              "Fig. 5 latency load), one 2 Mpps flow and "
                              "three 10 kpps victims (noisy-neighbor), "
                              "40 kpps of randomized source ports and "
                              "three 10 kpps victims (policy-injection), "
-                             "or 4 x 5 kpps with compartment 0 down for "
-                             "the middle third (fault-isolation)")
+                             "4 x 5 kpps with compartment 0 down for "
+                             "the middle third (fault-isolation), or "
+                             "4 x 2.5 kpps under the latency-attribution "
+                             "tap (latency-breakdown)")
     parser.add_argument("--duration", type=float, default=0.05,
                         help="simulated seconds of traffic (default 0.05)")
     parser.add_argument("--top", type=int, default=20,
@@ -284,7 +303,12 @@ def main() -> int:
           f"{scalar_draws / sent:.3f} = {scalar_draws})")
     print(f"gc collections gen0/gen1/gen2={'/'.join(map(str, collected))} "
           f"monitor bytes held per sent frame="
-          f"{held_bytes(counts['monitor']) / sent:.1f}\n")
+          f"{held_bytes(counts['monitor']) / sent:.1f}")
+    tap = counts["tap"]
+    if tap is not None:
+        print(f"tap records per sent frame={tap.records / sent:.2f} "
+              f"(captured {tap.captured})")
+    print()
 
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
