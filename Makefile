@@ -78,7 +78,8 @@ profile:
 # Short runs of the profile tool (the L1 noisy-neighbor overload, the
 # per-frame oracle and the latency breakdown under the attribution tap),
 # so a change that breaks tool/profile.py fails here rather than at the
-# next `make profile`.
+# next `make profile`.  Each run also fails if, once released, it left
+# an object of a repro type in a reference cycle.
 profile-smoke:
 	$(PYTHON) tool/profile.py --level l1 --shape noisy-neighbor --duration 0.01 --top 5
 	$(PYTHON) tool/profile.py --oracle --duration 0.01 --top 5

@@ -48,6 +48,7 @@ def fabric_demo() -> None:
     print(journey_report(tracer.journey(frame.frame_id)))
     print(f"(encapsulated with the target's VNI on egress, decapped by "
           f"the remote ingress chain; fabric floods: {cloud.fabric.floods})")
+    cloud.release()  # every server's deployment with it
 
 
 def orchestration_demo() -> None:
@@ -55,23 +56,22 @@ def orchestration_demo() -> None:
     spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_tenants=4,
                           num_vswitch_vms=2)
     d = build_deployment(spec, TrafficScenario.P2V)
-    TestbedHarness(d)
-    orch = MtsOrchestrator(d)
-
-    new = orch.add_tenant()
-    print(f"hot-added tenant {new} into compartment "
-          f"{orch.compartment_of(new)} "
-          f"(VFs now on the NIC: {d.server.nic.total_vfs()})")
-
-    record = orch.migrate_tenant(0, target=1)
-    d.sim.run(until=record.completed_at + 1e-6)
-    print(f"migrated tenant 0: compartment {record.source} -> "
-          f"{record.target}, downtime {fmt_time(record.downtime)} "
-          f"(SR-IOV has no live migration; gateway VFs and rules moved)")
-
-    orch.remove_tenant(2)
-    print(f"removed tenant 2 (VFs back to {d.server.nic.total_vfs()}, "
-          f"free cores: {d.server.cores.available()})")
+    with TestbedHarness(d):
+        orch = MtsOrchestrator(d)
+        new = orch.add_tenant()
+        print(f"hot-added tenant {new} into compartment "
+              f"{orch.compartment_of(new)} "
+              f"(VFs now on the NIC: {d.server.nic.total_vfs()})")
+        record = orch.migrate_tenant(0, target=1)
+        d.sim.run(until=record.completed_at + 1e-6)
+        print(f"migrated tenant 0: compartment {record.source} -> "
+              f"{record.target}, downtime {fmt_time(record.downtime)} "
+              f"(SR-IOV has no live migration; gateway VFs and rules "
+              f"moved)")
+        orch.remove_tenant(2)
+        print(f"removed tenant 2 (VFs back to "
+              f"{d.server.nic.total_vfs()}, free cores: "
+              f"{d.server.cores.available()})")
 
 
 def billing_demo() -> None:
@@ -79,16 +79,15 @@ def billing_demo() -> None:
     spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_tenants=4,
                           num_vswitch_vms=4)
     d = build_deployment(spec, TrafficScenario.P2V)
-    harness = TestbedHarness(d)
-    meter = NetworkingMeter(d)
-    meter.snapshot()
-    # Tenant 0 is five times as chatty as the rest.
-    harness.add_tenant_flow(0, 10_000)
-    for tenant in (1, 2, 3):
-        harness.add_tenant_flow(tenant, 2_000)
-    harness.run(duration=0.2)
-
-    usages = meter.read()
+    with TestbedHarness(d) as harness:
+        meter = NetworkingMeter(d)
+        meter.snapshot()
+        # Tenant 0 is five times as chatty as the rest.
+        harness.add_tenant_flow(0, 10_000)
+        for tenant in (1, 2, 3):
+            harness.add_tenant_flow(tenant, 2_000)
+        harness.run(duration=0.2)
+        usages = meter.read()
     invoices = bill(d, usages)
     print(f"{'tenant':>6} {'vswitch CPU (ms)':>17} {'I/O (KB)':>10} "
           f"{'invoice ($)':>12} {'attribution':>14}")

@@ -41,8 +41,8 @@ def show_chain(deployment) -> None:
         dst_ip=deployment.plan.tenant_ip(0),
         flow_id=0,
     )
-    TestbedHarness(deployment)  # wires the egress link
-    with obs.tracing(deployment.sim) as tracer:
+    # The harness wires the egress link.
+    with TestbedHarness(deployment), obs.tracing(deployment.sim) as tracer:
         deployment.external_ingress(0).receive(frame)
         deployment.sim.run(until=deployment.sim.now + 1.0)
     print(f"  chain for {deployment.spec.label}:")
@@ -59,9 +59,9 @@ def measure(level, label, **kwargs) -> None:
 
     # Latency at 10 kpps through the DES.
     d2 = build(level, **kwargs)
-    harness = TestbedHarness(d2)
-    harness.configure_tenant_flows(rate_per_flow_pps=2500)
-    result = harness.run(duration=0.1)
+    with TestbedHarness(d2) as harness:
+        harness.configure_tenant_flows(rate_per_flow_pps=2500)
+        result = harness.run(duration=0.1)
     stats = result.latency_stats()
     print(f"{label}: chain latency median {fmt_time(stats.median)} "
           f"(IQR {fmt_time(stats.iqr)})")

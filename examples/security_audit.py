@@ -54,42 +54,42 @@ def demonstrate_enforcement() -> None:
     spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_tenants=4,
                           num_vswitch_vms=4)
     d = build_deployment(spec, TrafficScenario.P2V)
-    TestbedHarness(d)
+    with TestbedHarness(d):
+        # Attack 1: source-MAC spoofing from tenant 0's VF.
+        spoofed = Frame(src_mac=MacAddress.parse("02:66:66:66:66:66"),
+                        dst_mac=d.gw_vf[(0, 0)].mac,
+                        dst_ip=d.plan.tenant_ip(1))
+        d.tenant_vf[(0, 0)].port.transmit(spoofed)
+        d.sim.run(until=d.sim.now + 1.0)
+        drops = d.server.nic.total_drops()
+        print(f"spoofed source MAC:        dropped by anti-spoofing "
+              f"(spoof drops = {drops.spoof})")
 
-    # Attack 1: source-MAC spoofing from tenant 0's VF.
-    spoofed = Frame(src_mac=MacAddress.parse("02:66:66:66:66:66"),
-                    dst_mac=d.gw_vf[(0, 0)].mac,
-                    dst_ip=d.plan.tenant_ip(1))
-    d.tenant_vf[(0, 0)].port.transmit(spoofed)
-    d.sim.run(until=d.sim.now + 1.0)
-    drops = d.server.nic.total_drops()
-    print(f"spoofed source MAC:        dropped by anti-spoofing "
-          f"(spoof drops = {drops.spoof})")
+        # Attack 2: correctly-sourced frame aimed straight at tenant 1.
+        received_by_victim = []
+        d.tenant_vf[(1, 0)].port.rx.connect(received_by_victim.append)
+        direct = Frame(src_mac=d.tenant_vf[(0, 0)].mac,
+                       dst_mac=d.tenant_vf[(1, 0)].mac,
+                       dst_ip=d.plan.tenant_ip(1))
+        d.tenant_vf[(0, 0)].port.transmit(direct)
+        d.sim.run(until=d.sim.now + 1.0)
+        drops = d.server.nic.total_drops()
+        print(f"direct tenant-to-tenant:   dropped by wildcard filter "
+              f"(filter drops = {drops.filtered}, victim received "
+              f"{len(received_by_victim)})")
 
-    # Attack 2: correctly-sourced frame aimed straight at tenant 1.
-    received_by_victim = []
-    d.tenant_vf[(1, 0)].port.rx.connect(received_by_victim.append)
-    direct = Frame(src_mac=d.tenant_vf[(0, 0)].mac,
-                   dst_mac=d.tenant_vf[(1, 0)].mac,
-                   dst_ip=d.plan.tenant_ip(1))
-    d.tenant_vf[(0, 0)].port.transmit(direct)
-    d.sim.run(until=d.sim.now + 1.0)
-    drops = d.server.nic.total_drops()
-    print(f"direct tenant-to-tenant:   dropped by wildcard filter "
-          f"(filter drops = {drops.filtered}, victim received "
-          f"{len(received_by_victim)})")
+        # Attack 3: ARP-poisoning the gateway binding.
+        table = d.tenant_arp[0]
+        poisoned = table.learn(d.plan.tenant_gw_ip(0),
+                               MacAddress.parse("02:66:66:66:66:66"))
+        outcome = ("SUCCEEDED" if poisoned
+                   else "rejected (static entry pinned)")
+        print(f"gateway ARP poisoning:     {outcome}")
 
-    # Attack 3: ARP-poisoning the gateway binding.
-    table = d.tenant_arp[0]
-    poisoned = table.learn(d.plan.tenant_gw_ip(0),
-                           MacAddress.parse("02:66:66:66:66:66"))
-    print(f"gateway ARP poisoning:     "
-          f"{'SUCCEEDED' if poisoned else 'rejected (static entry pinned)'}")
-
-    # Misconfiguration detection: a sloppy cross-tenant rule.
-    conflicts = [b.table.check_conflicts() for b in d.bridges]
-    print(f"flow-table conflict audit: "
-          f"{sum(len(c) for c in conflicts)} cross-tenant overlaps found")
+        # Misconfiguration detection: a sloppy cross-tenant rule.
+        conflicts = [b.table.check_conflicts() for b in d.bridges]
+        print(f"flow-table conflict audit: "
+              f"{sum(len(c) for c in conflicts)} cross-tenant overlaps found")
 
 
 def main() -> None:

@@ -113,12 +113,12 @@ def cmd_latency(args: argparse.Namespace) -> int:
     scenario = _scenario_from(args)
     deployment = build_deployment(_spec_from(args), scenario,
                                   seed=args.seed)
-    harness = TestbedHarness(deployment)
-    harness.configure_tenant_flows(
-        rate_per_flow_pps=args.rate_pps / args.tenants,
-        frame_bytes=args.frame_bytes)
-    result = harness.run(duration=args.duration,
-                         warmup=args.duration / 5)
+    with TestbedHarness(deployment) as harness:
+        harness.configure_tenant_flows(
+            rate_per_flow_pps=args.rate_pps / args.tenants,
+            frame_bytes=args.frame_bytes)
+        result = harness.run(duration=args.duration,
+                             warmup=args.duration / 5)
     stats = result.latency_stats()
     print(f"{deployment.spec.label} {scenario.value} @ {args.rate_pps:.0f} pps, "
           f"{args.frame_bytes} B ({stats.count} samples)")
@@ -257,6 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sweep_table,
         write_jsonl,
     )
+    from repro.scenario.engine import worker_busy_line
     faults = None
     if args.faults:
         import json
@@ -307,6 +308,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     efficacy = obs.cache_efficacy_line(obs.REGISTRY)
     if efficacy:
         print(efficacy)
+    if isinstance(backend, ProcessPoolBackend) and computed > 1:
+        # Two or more computed points ran on the pool, not in-process
+        # (see ProcessPoolBackend.run): the gauges are this sweep's.
+        busy = worker_busy_line(obs.REGISTRY)
+        if busy:
+            print(busy)
     if args.out:
         with open(args.out, "w") as handle:
             count = write_jsonl(handle, specs, results)

@@ -43,6 +43,7 @@ from repro.fabric.placement import (
     Placement, PlacementError, incremental_place, validate_placement)
 from repro.fabric.topology import FabricTopology
 from repro.obs.journal import Journal
+from repro.scenario import context
 from repro.sim import Simulator
 from repro.sim.rng import RngStreams
 
@@ -112,6 +113,18 @@ class ControlPlane:
         size = min(self.autoscaler.min_pool, plan.total_slots)
         for i in range(size):
             self.open_slots.add((i % plan.servers, i // plan.servers))
+        context.own(self)
+
+    def release(self) -> None:
+        """Free the service by reference counting: cancel its timers,
+        drop the kernel's pending events and the admission controller's
+        pool view, each bound to this service.  Read the values
+        first."""
+        for timer in self._recurring:
+            timer.cancel()
+        self._recurring = []
+        self.admission._pool_view = None
+        self.sim.release()
 
     # -- pool views -------------------------------------------------------
 

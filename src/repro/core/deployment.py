@@ -619,8 +619,44 @@ class Deployment:
         ]
         return "\n".join(lines)
 
+    def release(self) -> None:
+        """Free the run's objects by reference counting.
+
+        A built deployment is one reference cycle after another: a
+        bridge's ports call back into the bridge, a VF's transmit
+        lambda closes over its NIC port, pending events and stations
+        call back into the components that hold the simulator.  This
+        disconnects that wiring -- port handlers, stations, the cache's
+        frontier, the margin resolver, the kernel's pending events --
+        and unbinds the telemetry registry's clock and the tracer from
+        the simulator, so that dropping the last reference frees the
+        whole deployment.  Counters, tables, the oplog and ``spec``
+        stay readable; the deployment runs no more traffic.
+        Idempotent.  The run context releases what a scenario built
+        (:mod:`repro.scenario.context`); a direct caller releases
+        through ``TestbedHarness`` as a context manager, or here.
+
+        Not :meth:`teardown`, which models the orchestrator's teardown.
+        """
+        for bridge in self.bridges:
+            bridge.release()
+        self.server.nic.release()
+        for table in (self.inout_vf, self.gw_vf, self.tenant_vf):
+            for vf in table.values():
+                vf.port.release()
+        for pair in self.phys_pairs.values():
+            pair.release()
+        for path in self.vhost_paths.values():
+            path.release()
+        self.sim.release()
+        _obs.unbind_sim(self.sim)
+
     def teardown(self) -> None:
-        """Undefine all VMs and release VFs (reverse of the build)."""
+        """Undefine all VMs and release VFs (reverse of the build).
+
+        This models the orchestrator's teardown: every step lands in
+        the oplog, and it frees no Python objects (see
+        :meth:`release`)."""
         for vm in list(self.tenant_vms) + list(self.vswitch_vms):
             self.hypervisor.undefine(vm)
         for port in self.server.nic.ports:
@@ -702,6 +738,8 @@ class _Builder:
                           f"{self.controller.rules_installed} rules for "
                           f"{self.scenario.value}")
         _obs.on_deployment_built(d)
+        from repro.scenario import context
+        context.own(d)
         return d
 
     # -- common pieces ---------------------------------------------------------

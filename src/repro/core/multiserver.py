@@ -146,6 +146,18 @@ class MultiServerCloud:
         self._program_fabric()
         self._program_intra_server_rules()
         self._program_inter_server_rules()
+        from repro.scenario import context
+        context.own(self)
+
+    def release(self) -> None:
+        """Free the cloud by reference counting: release every server's
+        deployment (:meth:`Deployment.release`), every fabric switch's
+        links and the kernel's pending events.  Idempotent."""
+        for deployment in self.deployments:
+            deployment.release()
+        for switch in self.switches:
+            switch.release()
+        self.sim.release()
 
     # -- construction ------------------------------------------------------
 

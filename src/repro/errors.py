@@ -67,11 +67,3 @@ class ScenarioTimeoutError(ReproError):
         super().__init__(message)
         self.pending = tuple(pending)
         self.completed = completed
-
-
-class SecurityViolation(ReproError):
-    """A packet or operation violated a configured security policy.
-
-    Raised only in *strict* enforcement contexts; the normal dataplane
-    silently drops offending packets and counts them, as a real NIC does.
-    """

@@ -65,12 +65,12 @@ def measure_latency(
     spec = config.spec()
     deployment = build_deployment(spec, scenario, seed=seed,
                                   calibration=calibration)
-    harness = TestbedHarness(deployment)
-    harness.configure_tenant_flows(
-        rate_per_flow_pps=aggregate_pps / spec.num_tenants,
-        frame_bytes=frame_bytes,
-    )
-    result = harness.run(duration=duration, warmup=warmup)
+    with TestbedHarness(deployment) as harness:
+        harness.configure_tenant_flows(
+            rate_per_flow_pps=aggregate_pps / spec.num_tenants,
+            frame_bytes=frame_bytes,
+        )
+        result = harness.run(duration=duration, warmup=warmup)
     if not result.latencies:
         raise RuntimeError(
             f"no latency samples for {config.label}/{scenario.value}"

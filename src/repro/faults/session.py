@@ -100,6 +100,15 @@ class ChaosSession:
         self._holds_oracle = any(f.kind in UPSTREAM_KINDS
                                  for f in plan.faults)
         self._finished: Optional[Dict[str, float]] = None
+        context.own(self)
+
+    def release(self) -> None:
+        """Drop the supervisor's, watchdog's and injector's references
+        back to this session, so that a finished run's session goes by
+        reference counting.  Read the summary first."""
+        self.supervisor.session = None
+        self.watchdog.session = None
+        self.injector.session = None
 
     # -- metric families --------------------------------------------------
 

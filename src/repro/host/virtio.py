@@ -60,6 +60,12 @@ class VhostPath:
         self.guest_side.attach_tx_batch(self._to_host_batch)
         self.crossings = 0
 
+    def release(self) -> None:
+        """Disconnect both sides (their transmit handlers are this
+        path's bound methods)."""
+        self.host_side.release()
+        self.guest_side.release()
+
     def _to_guest(self, frame: Frame) -> None:
         self.crossings += 1
         _obs.TRACER.hop(self.name, frame, "vhost.crossing", "h2g",

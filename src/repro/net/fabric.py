@@ -77,6 +77,14 @@ class FabricSwitch:
 
         return rx, set_link
 
+    def release(self) -> None:
+        """Release every port's outbound link: its far end is a port
+        whose handler calls back into the device there -- another
+        switch, on a trunk."""
+        for port in self.ports:
+            if port.link is not None:
+                port.link.release()
+
     def trunk(self, my_port: int, peer: "FabricSwitch", peer_port: int,
               bandwidth_bps: float = 40 * GBPS) -> Tuple[Link, Link]:
         """Interconnect two switches (e.g. a ToR uplink to a spine):

@@ -34,6 +34,11 @@ class Port:
     def connected(self) -> bool:
         return self._handler is not None
 
+    def release(self) -> None:
+        """Drop both receive handlers: they are bound to the consumer,
+        which usually holds this port (a reference cycle)."""
+        self._handler = self._batch_handler = None
+
     def receive(self, frame: Frame) -> None:
         """Deliver a frame into this port."""
         self.rx_frames += 1
@@ -100,6 +105,11 @@ class PortPair:
     def attach_tx_batch(self, handler: Callable[[FrameBatch], None]) -> None:
         """Attach a batch transmit handler (batched fast path)."""
         self._tx_batch = handler
+
+    def release(self) -> None:
+        """Drop the transmit handlers and the rx port's handlers."""
+        self._tx = self._tx_batch = None
+        self.rx.release()
 
     def transmit(self, frame: Frame) -> None:
         """Send a frame out of this attachment point."""

@@ -56,6 +56,12 @@ class OpticalTap:
         self._observers.append(callback)
         self._twins.append(batch)
 
+    def release(self) -> None:
+        """Drop every observer (bound methods of the monitor that reads
+        this tap)."""
+        self._observers = []
+        self._twins = []
+
     @property
     def unpaired(self) -> int:
         """Observers registered without a batch twin."""
@@ -115,6 +121,13 @@ class Link:
         #: hand-off number, batch, index of that member).
         self._held: List[Tuple[float, int, FrameBatch, int]] = []
         self._handoffs = 0
+
+    def release(self) -> None:
+        """Disconnect the link: its destination, its tap, the egress
+        hold's watermark and the batches it still holds.  A released
+        link sends nothing."""
+        self.dst = self.tap = self._watermark = None
+        self._held = []
 
     def serialization_time(self, frame: Frame) -> float:
         """Time to clock the frame onto the wire (incl. 20 B phy overhead)."""

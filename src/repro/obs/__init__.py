@@ -81,6 +81,10 @@ REGISTRY = MetricsRegistry()
 #: summary tables after every run (set by the ``repro obs`` CLI).
 PRINT_RUN_SUMMARY = False
 
+#: The simulator the registry's clock reads, if any (see
+#: :func:`unbind_sim`).
+_CLOCK_SIM = None
+
 #: Every live built deployment.  The tracer is process-wide, so it
 #: touches all of them: while it records, each holds a "tracer" oracle
 #: mark (its per-hop spans exist only on the per-frame path).
@@ -97,7 +101,7 @@ def enable_tracing(sim=None, capacity: int = 1_000_000) -> PacketTracer:
     tracer = PacketTracer(capacity=capacity, sim=sim)
     TRACER = tracer
     if sim is not None:
-        REGISTRY.set_clock(lambda: sim.now)
+        _bind_clock(sim)
     return tracer
 
 
@@ -166,10 +170,29 @@ def on_deployment_built(deployment) -> None:
     deployments the most recently built one owns the clock."""
     _DEPLOYMENTS.add(deployment)
     sim = deployment.sim
-    REGISTRY.set_clock(lambda: sim.now)
+    _bind_clock(sim)
     if TRACER.enabled:
         TRACER.bind_sim(sim)
         deployment.hold_oracle("tracer")
+
+
+def _bind_clock(sim) -> None:
+    global _CLOCK_SIM
+    _CLOCK_SIM = sim
+    REGISTRY.set_clock(lambda: sim.now)
+
+
+def unbind_sim(sim) -> None:
+    """Unbind the registry's clock and the active tracer from ``sim``,
+    a released run's simulator, so that neither keeps it alive.  The
+    registry's clock then reads the time the run ended."""
+    global _CLOCK_SIM
+    if _CLOCK_SIM is sim:
+        _CLOCK_SIM = None
+        end = sim.now
+        REGISTRY.set_clock(lambda: end)
+    if TRACER.enabled and TRACER._sim is sim:
+        TRACER.bind_sim(None)
 
 
 def on_run_complete(harness, result) -> None:
@@ -214,6 +237,7 @@ __all__ = [
     "tracing_enabled",
     "set_print_run_summary",
     "on_deployment_built",
+    "unbind_sim",
     "on_run_complete",
     "harvest",
     "harvest_fabric",

@@ -176,6 +176,12 @@ class MetricFamily:
     def children(self) -> Iterable[Tuple[Tuple, object]]:
         return self._children.items()
 
+    def clear(self) -> None:
+        """Drop every labelled child (a gauge family that describes
+        only the latest run)."""
+        if self.label_names:
+            self._children.clear()
+
     # -- label-less convenience proxies ----------------------------------
 
     def _only(self):

@@ -23,7 +23,14 @@ spec's requests down and the run's reports back up:
    no second one and the metering session charges that session's
    recoveries;
 4. finished sessions :func:`publish` journal events
-   (:mod:`repro.obs.journal`) and usage records.
+   (:mod:`repro.obs.journal`) and usage records;
+5. every deployment, harness, fabric cloud and control plane built
+   while the context is active registers with it (:func:`own`), and
+   ``run_scenario`` releases them (:meth:`RunContext.release`) once the
+   workload has returned its values.  Releasing disconnects the
+   callbacks that close reference cycles through a run's objects, so
+   they go by reference counting instead of waiting for the cycle
+   collector.
 
 This module holds the only per-scenario state; there are no threads in
 the DES, and the engine replaces the context around every scenario.  A
@@ -40,7 +47,7 @@ class RunContext:
     """The requests and reports of one in-flight scenario."""
 
     __slots__ = ("plan", "seed", "metering", "metering_interval",
-                 "chaos", "metered", "events", "usage")
+                 "chaos", "metered", "events", "usage", "owned")
 
     def __init__(self, plan=None, seed: int = 0, metering: bool = False,
                  metering_interval: float = 0.0) -> None:
@@ -55,6 +62,8 @@ class RunContext:
         self.metered = False
         self.events: List[dict] = []
         self.usage: List[dict] = []
+        #: What the run built (see :func:`own`), in build order.
+        self.owned: list = []
 
     def attach_chaos(self, harness, horizon: float):
         """Arm a :class:`ChaosSession` for the plan on ``harness``
@@ -81,6 +90,13 @@ class RunContext:
                                   seed=self.seed, chaos=self.chaos)
         session.arm(horizon)
         return session
+
+    def release(self) -> None:
+        """Release everything the run owns, last built first (a harness
+        before its deployment).  Each ``release()`` is idempotent."""
+        owned, self.owned = self.owned, []
+        while owned:
+            owned.pop().release()
 
     def drain(self) -> Tuple[List[dict], List[dict]]:
         """The events and usage published so far, clearing both."""
@@ -117,6 +133,14 @@ def register_chaos(session) -> None:
     the engine)."""
     if _active is not None:
         _active.chaos = session
+
+
+def own(obj) -> None:
+    """Make the active run own ``obj``, which has a ``release()``
+    method: the engine releases it after the workload returns (no-op
+    outside the engine)."""
+    if _active is not None:
+        _active.owned.append(obj)
 
 
 def publish(events: Iterable[dict] = (), usage: Iterable[dict] = ()) -> None:

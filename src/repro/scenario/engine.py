@@ -43,7 +43,7 @@ from concurrent.futures import (
     as_completed,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ScenarioTimeoutError, ValidationError
@@ -121,6 +121,7 @@ def run_scenario(spec: ScenarioSpec,
         events, usage = ctx.drain()
     finally:
         context.deactivate(ctx)
+        ctx.release()
     elapsed = time.perf_counter() - start
     after = obs.REGISTRY.snapshot()
     metrics = {}
@@ -203,11 +204,29 @@ def _warm_worker(calibration: Calibration, workloads: Sequence[str]) -> None:
     preload(workloads)
 
 
-def _batch_worker(specs: Sequence[ScenarioSpec]) -> List[ScenarioResult]:
+def _batch_worker(specs: Sequence[ScenarioSpec]
+                  ) -> Tuple[int, List[ScenarioResult]]:
     """Run one pickled spec batch against the worker's bound
-    calibration; results return as one pickled batch."""
+    calibration; results return as one pickled batch, with the
+    worker's pid (the parent totals each worker's busy time)."""
     calibration = _WORKER_CALIBRATION or DEFAULT_CALIBRATION
-    return [run_scenario(spec, calibration) for spec in specs]
+    return os.getpid(), [run_scenario(spec, calibration) for spec in specs]
+
+
+def worker_busy_line(registry) -> Optional[str]:
+    """One line for the last pool run: its makespan and each worker's
+    busy seconds (the summed ``elapsed`` of the batches it ran), or
+    None before any pool run.  A wall change splits into per-spec cost
+    (the busy sum) and chunk order (the makespan against the busiest
+    worker)."""
+    if "scenario_pool_makespan_seconds" not in registry:
+        return None
+    makespan = registry.family("scenario_pool_makespan_seconds")
+    busy = registry.family("scenario_pool_worker_busy_seconds")
+    workers = ", ".join(f"{pid} {child.value:.3f} s"
+                        for (pid,), child in sorted(busy.children()))
+    return (f"pool: makespan {makespan.labels().value:.3f} s; "
+            f"busy per worker (pid): {workers}")
 
 
 class ProcessPoolBackend:
@@ -327,6 +346,9 @@ class ProcessPoolBackend:
                    for start in range(0, len(specs), chunk)]
         pool = self._ensure_pool(
             calibration, sorted({s.workload for s in specs}))
+        start = time.perf_counter()
+        #: pid -> summed elapsed of the scenarios that process ran.
+        busy: Dict[int, float] = {}
 
         results: List[Optional[ScenarioResult]] = [None] * len(specs)
         poisoned: List[int] = []
@@ -350,11 +372,13 @@ class ProcessPoolBackend:
             for future in as_completed(futures, timeout=budget):
                 idxs = futures[future]
                 try:
-                    batch = future.result()
+                    pid, batch = future.result()
                 except BrokenExecutor:
                     broke = True
                     poisoned.extend(idxs)
                     continue
+                busy[pid] = busy.get(pid, 0.0) + sum(r.elapsed
+                                                     for r in batch)
                 merged: Dict[str, float] = {}
                 for i, result in zip(idxs, batch):
                     results[i] = result
@@ -399,7 +423,27 @@ class ProcessPoolBackend:
                 # In-process rerun hits the parent registry directly;
                 # no metrics fold (that would double-count).
                 results[i] = run_scenario(specs[i], calibration)
+                busy[os.getpid()] = (busy.get(os.getpid(), 0.0)
+                                     + results[i].elapsed)
+        self._record_busy(busy, time.perf_counter() - start)
         return results
+
+    @staticmethod
+    def _record_busy(busy: Dict[int, float], makespan: float) -> None:
+        """Export the run's per-worker busy seconds (by pid; specs rerun
+        in this process after a breakdown count under its own pid) and
+        its makespan, from the first submission to the last result."""
+        family = obs.REGISTRY.gauge(
+            "scenario_pool_worker_busy_seconds",
+            "summed scenario time each process ran in the last pool run",
+            labels=("worker",))
+        family.clear()
+        for pid, seconds in busy.items():
+            family.labels(worker=pid).set(seconds)
+        obs.REGISTRY.gauge(
+            "scenario_pool_makespan_seconds",
+            "wall time of the last pool run, submission to last result",
+        ).set(makespan)
 
 
 class Engine:

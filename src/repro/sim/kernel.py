@@ -192,6 +192,21 @@ class Simulator:
                                time.perf_counter() - wall_start)
         return fired
 
+    def release(self) -> None:
+        """Drop every pending event and its callback.
+
+        A pending event's callback is usually a bound method of a
+        component that holds this simulator (or, for a
+        :class:`RecurringEvent`, the timer that holds the event), so
+        the heap closes reference cycles; a finished run's owner calls
+        this so that they go by reference counting.  The clock keeps
+        its time; nothing scheduled before runs any more.
+        """
+        for _, _, event in self._heap:
+            event.cancelled = True
+            event.callback = event.args = None
+        self._heap = []
+
     def peek(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
         while self._heap and self._heap[0][2].cancelled:

@@ -92,6 +92,11 @@ class FairServiceStation:
         self._order: "list[Any]" = []
         self._last_key: Optional[Any] = None
 
+    def release(self) -> None:
+        """Drop ``on_done``, which is bound to the station's owner (and
+        the owner holds the station)."""
+        self.on_done = None
+
     def submit(self, key: Any, item: Any) -> bool:
         """Offer an item on ring ``key``; False if that ring dropped it."""
         queue = self._queues.get(key)
@@ -273,6 +278,18 @@ class BatchFairStation:
         #: admission (``group.dead(i)``) and, if dead, vanishes -- no
         #: ring slot, no drop counted -- as if it had never registered.
         self.mortal = False
+
+    def release(self) -> None:
+        """Drop the registered groups and the pending wake: groups hold
+        their bridge, which holds this station, and the wake's callback
+        is bound to the station.  Counters stay readable."""
+        if self._wake_event is not None:
+            self._wake_event.cancel()
+        self._wake_event = self._spare = self._inflight = None
+        self._pending = []
+        self._rings = {}
+        self._ring_order = []
+        self._dirty = []
 
     def submit_group(self, group: Any) -> None:
         """Register every member of ``group`` as a future arrival.

@@ -173,6 +173,15 @@ class NicPort:
         """Attach the outbound wire (towards the load generator / sink)."""
         self.fabric_link = link
 
+    def release(self) -> None:
+        """Disconnect the port from its run: the wire, the handlers of
+        the fabric port and of every function's port pair (the VF
+        transmit lambdas close over this port), and the card."""
+        self.fabric_rx.release()
+        for func in self._functions.values():
+            func.port.release()
+        self.fabric_link = self.nic = None
+
     def function(self, name: str) -> VirtualFunction:
         try:
             return self._functions[name]
@@ -411,6 +420,11 @@ class SriovNic:
         self.pcie = pcie if pcie is not None else PcieBus()
         self.filters = FilterChain()
         self.ports = [NicPort(self, i) for i in range(num_ports)]
+
+    def release(self) -> None:
+        """Release every port (see :meth:`NicPort.release`)."""
+        for port in self.ports:
+            port.release()
 
     def port(self, index: int) -> NicPort:
         return self.ports[index]

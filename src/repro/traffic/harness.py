@@ -30,6 +30,13 @@ could not reproduce it:
 Cache-busting flows (randomized source ports, the policy-injection
 traffic) run batched: members carry their own ports and each is
 charged the microflow miss its per-frame twin would take.
+
+A harness owns its run's objects: :meth:`TestbedHarness.release`
+disconnects its links, taps and sink and releases the deployment
+(:meth:`~repro.core.deployment.Deployment.release`), so all of them go
+by reference counting.  Use it as a context manager, or call
+``release()`` after the last run; the scenario engine releases the
+harnesses a workload built once the workload has returned.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from typing import List, Optional
 
 from repro import obs as _obs
 from repro.core.deployment import Deployment
+from repro.errors import SimulationError
 from repro.measure.stats import SummaryStats, summarize
 from repro.net.addresses import MacAddress
 from repro.net.link import Link, OpticalTap
@@ -126,6 +134,30 @@ class TestbedHarness:
 
         self.lg = LoadGenerator(self.sim, self.ingress_link)
         self._lg_mac = MacAddress.parse("02:1b:00:00:00:01")
+        #: True once :meth:`release` ran; the harness runs no more.
+        self.released = False
+        from repro.scenario import context
+        context.own(self)
+
+    def release(self) -> None:
+        """Free the harness and its deployment by reference counting:
+        disconnect the links, taps and sink, then release the
+        deployment.  Read every result first.  Idempotent."""
+        if self.released:
+            return
+        self.released = True
+        for link in (self.ingress_link, self.egress_link):
+            link.release()
+        for tap in (self.ingress_tap, self.egress_tap):
+            tap.release()
+        self.sink.port.release()
+        self.deployment.release()
+
+    def __enter__(self) -> "TestbedHarness":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
 
     def add_tenant_flow(self, tenant: int, rate_pps: float,
                         frame_bytes: int = 64,
@@ -180,6 +212,11 @@ class TestbedHarness:
         after ``warmup``.  ``cooldown`` lets in-flight frames land.  The
         result counts this run's frames alone, also on a harness that
         ran before."""
+        if self.released:
+            raise SimulationError(
+                f"TestbedHarness of {self.deployment.spec.label} "
+                f"({self.deployment.scenario.value}) was released; build "
+                "a new deployment and harness to run again")
         if not 0.0 <= warmup < duration:
             raise ValueError(
                 f"need 0 <= warmup < duration, got warmup={warmup} and "

@@ -230,6 +230,11 @@ class FlowTable:
         to invalidate its pass-plan cache)."""
         self._listeners.append(callback)
 
+    def release(self) -> None:
+        """Drop the listeners (bound to the bridge that holds the
+        table)."""
+        self._listeners = []
+
     def _changed(self) -> None:
         self.version += 1
         self._emc.clear()

@@ -99,8 +99,8 @@ class DeferredLookups:
     its own (``keys``).  A *bulk* run's members are known hits up
     front: their slots already hold ``hit``, and the cache only counts
     them later.  An *open* run (a fused sink) grows member by member
-    through :meth:`add`.  At a bridge that may crash, ``gate(i)`` says
-    whether member ``i`` arrived while the bridge was down: such a
+    through :meth:`add`.  At a bridge that may crash, ``gate(t)`` says
+    whether a member arriving at ``t`` found the bridge down: such a
     member never looks up (see :meth:`MegaflowCache.defer`).
     """
 
@@ -111,7 +111,7 @@ class DeferredLookups:
                  keys: Optional[List[Tuple]], ts: List[float],
                  svc: list, hit: float, miss: float, rid: int,
                  ascending: bool, open_: bool,
-                 gate: Optional[Callable[[int], bool]] = None) -> None:
+                 gate: Optional[Callable[[float], bool]] = None) -> None:
         self.cache = cache
         self.gate = gate
         self.key = key
@@ -293,19 +293,28 @@ class MegaflowCache:
             self._stamps = {key: (-_INF, -1, i)
                             for i, key in enumerate(self._entries)}
 
+    def release(self) -> None:
+        """Leave arrival-ordered resolution: drop the simulator, the
+        bridge's frontier and sync callbacks and the runs still held
+        (each holds this cache).  ``stats`` then reads what the last
+        settle counted: read it first (a harness run's end does)."""
+        self._sim = self._frontier = self._sync = None
+        self._pending = []
+        self._bulk = []
+
     def defer(self, key: Optional[Tuple], keys: Optional[List[Tuple]],
               ts: List[float], svc: list, hit: float, miss: float,
               open_: bool = False,
-              gate: Optional[Callable[[int], bool]] = None
+              gate: Optional[Callable[[float], bool]] = None
               ) -> DeferredLookups:
         """Register the lookups of a group's members, arriving at ``ts``
         (ascending), keyed by ``key`` or per member by ``keys``.  ``svc``
         holds ``hit`` for each member; the slots of members whose
         outcome is not known yet become None.  An ``open_`` run starts
         empty and grows through :meth:`DeferredLookups.add`.  A
-        ``gate`` is asked, when member ``i``'s turn to resolve comes,
-        whether it never reached the bridge; such a run is never
-        bulk."""
+        ``gate`` is asked, when a member's turn to resolve comes, about
+        its arrival: True means it never reached the bridge.  Such a
+        run is never bulk."""
         rid = self._rid
         self._rid = rid + 1
         if gate is not None:
@@ -363,7 +372,7 @@ class MegaflowCache:
             if ht > t or (ht == t and (hrid > rid
                                        or (hrid == rid and hj > j))):
                 break
-            if gated and run.gate is not None and run.gate(hj):
+            if gated and run.gate is not None and run.gate(ht):
                 pass  # the member never reached the bridge
             else:
                 key = run.key if run.keys is None else run.keys[hj]

@@ -247,7 +247,7 @@ class _FusedSink:
                                   route.template, route.header,
                                   self.arrivals, True)
             bridge._ledgers.append(self.ledger)
-            gate = self.dead
+            gate = bridge.dead_at
         cache = bridge.cache
         self.lookups: Optional[DeferredLookups] = None
         if cache is not None:
@@ -728,6 +728,23 @@ class OvsBridge:
                 self.cache.order(self.sim, self._lookup_frontier)
             else:
                 self.cache.order(self.sim, None, self._catch_up_to)
+
+    def release(self) -> None:
+        """Disconnect the bridge from its run: its ports' handlers, its
+        tables' listeners, its stations, its cache's frontier and the
+        deployment's margin resolver and catch-up.  Each is a callback
+        bound to this bridge or to its deployment, which the bridge's
+        own references lead back to.  Counters and tables stay
+        readable."""
+        for port in self._ports.values():
+            port.pair.release()
+        for table in self.tables.values():
+            table.release()
+        for station in self._stations:
+            station.release()
+        if self.cache is not None:
+            self.cache.release()
+        self._margin_fn = self._catch_up = self.punt_handler = None
 
     def _lookup_frontier(self) -> float:
         """Bound for the cache's arrival-ordered resolution on a
@@ -1266,7 +1283,7 @@ class OvsBridge:
             group.lookups = cache.defer(
                 key, keys, ts, svc, svc[0],
                 (cycles + cache.upcall_cycles) / hz,
-                gate=group.dead if self.fault_armed else None)
+                gate=self.dead_at if self.fault_armed else None)
         self._stations[index].submit_group(group)
 
     def _execute_batch(self, group: _BatchPassGroup) -> None:

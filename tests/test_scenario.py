@@ -28,6 +28,11 @@ from repro.scenario import (
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 
 
+#: Gauges every pool run sets from its own timing.
+POOL_TIMING_GAUGES = ("scenario_pool_worker_busy_seconds",
+                      "scenario_pool_makespan_seconds")
+
+
 def latency_spec(seed=0, duration=0.02, **over) -> ScenarioSpec:
     fields = dict(
         workload="fig5.latency",
@@ -267,11 +272,32 @@ class TestBackendEquivalence:
             [latency_spec(seed=9), latency_spec(seed=10)],
             DEFAULT_CALIBRATION)
         assert any(r.metrics for r in results)
-        after = obs.REGISTRY.snapshot()
+        # The pool's own timing gauges (per-worker busy seconds and the
+        # makespan) describe the run, not what the workers shipped.
+        after = {k: v for k, v in obs.REGISTRY.snapshot().items()
+                 if not k.startswith(POOL_TIMING_GAUGES)}
         shipped = sum(sum(r.metrics.values()) for r in results)
         folded = sum(after.values()) - sum(before.get(k, 0.0)
                                            for k in after)
         assert folded == pytest.approx(shipped)
+
+
+class TestWorkerBusyTime:
+    def test_busy_seconds_sum_to_results_elapsed(self):
+        from repro import obs
+        specs = [latency_spec(seed=s) for s in (11, 12, 13)] + \
+            [resources_spec()]
+        with ProcessPoolBackend(max_workers=2, chunk=1) as pool:
+            results = pool.run(specs, DEFAULT_CALIBRATION)
+        busy = obs.REGISTRY.family("scenario_pool_worker_busy_seconds")
+        per_worker = {pid: child.value for (pid,), child in busy.children()}
+        assert 1 <= len(per_worker) <= 2
+        assert str(os.getpid()) not in per_worker
+        assert sum(per_worker.values()) == pytest.approx(
+            sum(r.elapsed for r in results), rel=1e-12)
+        makespan = obs.REGISTRY.family(
+            "scenario_pool_makespan_seconds").labels().value
+        assert makespan >= max(per_worker.values())
 
 
 class TestFoldMetrics:

@@ -28,6 +28,7 @@ class TestSweepCommand:
         assert rc == 0
         assert "sweep fig5.latency: 2 points" in out
         assert "2 points: 2 computed, 0 cached" in out
+        assert "pool: makespan" not in out  # --jobs 1 runs in-process
         assert len(lines) == 2
         for line in lines:
             assert line["spec"]["workload"] == "fig5.latency"
@@ -49,6 +50,14 @@ class TestSweepCommand:
         assert rc == 0
         assert "2 points: 2 computed, 0 cached" in out
         assert not any(l["result"]["cached"] for l in lines)
+
+    def test_pool_prints_worker_busy_time(self, tmp_path, capsys):
+        rc, out, _ = run_sweep(tmp_path, capsys, "--jobs", "2")
+        assert rc == 0
+        line = [l for l in out.splitlines() if l.startswith("pool: ")]
+        assert len(line) == 1
+        assert "makespan" in line[0]
+        assert "busy per worker (pid)" in line[0]
 
     def test_seed_changes_results(self, tmp_path, capsys):
         _, _, base = run_sweep(tmp_path, capsys)

@@ -13,9 +13,11 @@ jitter draws per sent frame, split into a batch's draws in lanes, a
 small batch's draws made key by key (both ``HashJitter.units``) and
 per-member scalar ``unit()`` draws, the garbage collector's
 collections per generation during the run and the bytes the latency
-monitor holds per sent frame, then the top functions by cumulative
-time -- the lens that found and then verified the batched-fastpath
-wins recorded in EXPERIMENTS.md.
+monitor holds per sent frame, the objects and bytes left in cyclic
+garbage once the run is released (``TestbedHarness.release``; the tool
+exits 1 if any of them is of a ``repro`` type), then the top functions
+by cumulative time -- the lens that found and then verified the
+batched-fastpath wins recorded in EXPERIMENTS.md.
 ``--shape latency`` offers the Fig. 5 latency load instead: four flows
 at 2.5 kpps each; ``--shape noisy-neighbor`` the noisy-neighbor
 experiment's: one 2 Mpps flow and three 10 kpps victims;
@@ -131,6 +133,24 @@ def held_bytes(root: object) -> int:
     return total
 
 
+def cyclic_garbage() -> tuple:
+    """What only the cycle collector could free now: (objects, bytes,
+    the ``repro`` types among them with their counts)."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    kinds: dict = {}
+    for obj in garbage:
+        cls = type(obj)
+        if cls.__module__.startswith("repro"):
+            kinds[cls.__qualname__] = kinds.get(cls.__qualname__, 0) + 1
+    return len(garbage), sum(map(sys.getsizeof, garbage)), kinds
+
+
 def collections_made() -> list:
     """Collections so far, per generation."""
     return [gen["collections"] for gen in gc.get_stats()]
@@ -197,15 +217,18 @@ def run_fig5(duration: float, batch: bool, level: str = "l2",
         result = harness.run(duration=duration)
     if session is not None:
         session.finish()
+        session.release()
     caches = [bridge.cache.stats for bridge in deployment.bridges
               if bridge.cache is not None]
-    return {"sent": result.sent, "delivered": result.delivered,
-            "monitor": harness.monitor,
-            "events": deployment.sim.events_fired - events,
-            "lookups": sum(stats.lookups for stats in caches),
-            "misses": sum(stats.misses for stats in caches),
-            "path": result.path, "reason": result.oracle_reason,
-            "tap": tap, "label": f"{spec.label} {traffic} {shape}"}
+    counts = {"sent": result.sent, "delivered": result.delivered,
+              "monitor": harness.monitor,
+              "events": deployment.sim.events_fired - events,
+              "lookups": sum(stats.lookups for stats in caches),
+              "misses": sum(stats.misses for stats in caches),
+              "path": result.path, "reason": result.oracle_reason,
+              "tap": tap, "label": f"{spec.label} {traffic} {shape}"}
+    harness.release()
+    return counts
 
 
 def main() -> int:
@@ -251,6 +274,7 @@ def main() -> int:
           f"{label}, duration={args.duration}s ...")
     drawn = count_batch_draws()
     profiler = cProfile.Profile()
+    gc.collect()  # what is left after the run is the run's
     collected = collections_made()
     profiler.enable()
     counts = run_fig5(args.duration, batch=not args.oracle,
@@ -259,6 +283,7 @@ def main() -> int:
     profiler.disable()
     collected = [after - before for before, after
                  in zip(collected, collections_made())]
+    left, left_bytes, leaked = cyclic_garbage()
     stats = pstats.Stats(profiler, stream=sys.stdout)
 
     def calls_of(name: str, module: str) -> int:
@@ -308,12 +333,20 @@ def main() -> int:
     if tap is not None:
         print(f"tap records per sent frame={tap.records / sent:.2f} "
               f"(captured {tap.captured})")
+    print(f"cyclic garbage after release={left} objects, {left_bytes} "
+          f"bytes (repro objects: {sum(leaked.values())})")
     print()
 
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     if args.out:
         stats.dump_stats(args.out)
         print(f"raw pstats written to {args.out}")
+    if leaked:
+        print("FAIL: a released run left repro objects in reference "
+              "cycles: " + ", ".join(f"{name} x{n}" for name, n
+                                    in sorted(leaked.items())),
+              file=sys.stderr)
+        return 1
     return 0
 
 
